@@ -6,6 +6,9 @@ by one of the atoms, or survives (asymptotically trapped in the dark state).
 The waiting time is sampled by inverting the survival law P0(t) = u with a
 uniform u, and the channel is chosen from the instantaneous rate weights
 (2 kappa |c_100|^2 : 2 gamma |c_010|^2 : 2 gamma |c_001|^2) at the jump.
+The inversion is safeguarded Newton on log P0(t) - log u, whose slope
+-w1/P0 comes from the same rate weights (w1 = -dP0/dt is their sum).  A batch
+starts from a table of P0 on log-spaced times, which brackets every root.
 
 Randomness is counter-based: trajectory ``index`` under master ``seed``
 consumes exactly one Philox block, ``Generator(Philox(key=seed,
@@ -28,9 +31,22 @@ from .errors import EmptyGridError, InvalidUniformError, NegativeTimeError, Zero
 from .model import Parameters, StateVector, initial_state
 from .propagator import Propagator, conditional_state
 
-# Bisection depth: halving [0, horizon] 60 times lands far below both the
-# 1e-10 relative time tolerance and the 1e-9 self-consistency residual.
-_BISECTION_STEPS = 60
+# Start table of P0: t = 0 plus log-spaced times from 1e-9 * horizon to the
+# horizon.  Neighbouring times differ by 0.5 %, so the interpolated start lies
+# within a few Newton steps of the root.
+_TABLE_POINTS = 4096
+_TABLE_START = 1e-9
+
+# A trajectory stops once |log P0(t) - log u| <= _RESIDUAL_TOL, once its
+# bracket is _BRACKET_ULPS ulp wide, or once a Newton step leaves t unchanged.
+# A stop test on the step size alone never fires where round-off in P0 moves
+# the Newton step by more than a few ulp.  _MAX_STEPS only guards termination:
+# batches stop within about 5 steps, or 15 when kappa << Omega makes P0 a
+# staircase finer than the table; a single root started at mid-[0, horizon]
+# stops within about 50.
+_RESIDUAL_TOL = 1e-15
+_BRACKET_ULPS = 4
+_MAX_STEPS = 200
 
 _DRAWS_PER_TRAJECTORY = 4  # one Philox block
 _CHUNK = 16384
@@ -109,9 +125,75 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _survival_from_initial(params: Parameters, t):
-    amps = conditional_state(params, t)
-    return np.sum(amps**2, axis=-1)
+def _bracket_from_table(table_t, table_p0, u):
+    """Bracket [lo, hi] and start for each root of P0(t) = u from a table.
+
+    The bracket is the pair of neighbouring table times around u (on a
+    monotone envelope, which absorbs round-off wiggles of P0); the start
+    interpolates log P0 linearly inside it.  u = 1 starts at t = 0 exactly.
+    """
+    envelope = np.minimum.accumulate(table_p0)
+    upper = np.clip(np.searchsorted(-envelope, -u, side="left"), 1, table_t.size - 1)
+    lo, hi = table_t[upper - 1], table_t[upper]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_table = np.log(envelope)
+        share = (log_table[upper - 1] - np.log(u)) / (log_table[upper - 1] - log_table[upper])
+        start = lo + share * (hi - lo)
+    start = np.where((start >= lo) & (start <= hi), start, 0.5 * (lo + hi))
+    return lo, hi, np.where(u < 1.0, start, 0.0)
+
+
+def _invert_survival(params: Parameters, weights_at, log_u, lo, hi, t):
+    """Safeguarded Newton (Numerical Recipes ``rtsafe``) on log P0(t) = log u.
+
+    ``weights_at(t)`` returns the weights |c|^2 of the evolved amplitudes,
+    shape (n, 3), at an array of n times.  Each root must satisfy
+    P0(lo) > u >= P0(hi), and ``t`` is a start inside [lo, hi].  A Newton
+    step that leaves the bracket, or that does not halve the step before
+    last, becomes a bisection, and every evaluation tightens the bracket.
+    Each element stops on its own rule (see _RESIDUAL_TOL) and is then frozen
+    under a mask, so its result never depends on the rest of the batch.
+    Elements with u = 1 keep their start.  Updates ``lo``, ``hi`` and ``t``
+    in place and returns the times and the weights there.
+    """
+    active = log_u < 0.0
+    step = hi - lo
+    step_old = step.copy()
+    weights = weights_at(t)
+    for _ in range(_MAX_STEPS):
+        if not _newton_step(params, weights, log_u, lo, hi, t, step, step_old, active):
+            break
+        np.copyto(weights, weights_at(t), where=active[:, None])
+    return t, weights
+
+
+def _newton_step(params, weights, log_u, lo, hi, t, step, step_old, active) -> bool:
+    """One ``rtsafe`` step, in place, from the weights |c|^2 at ``t``.
+
+    Tightens the brackets, stops converged elements (clearing ``active``) and
+    moves the rest to their next times.  Returns whether any element moved.
+    Its temporaries are freed on return, so they never coexist with those of
+    the next kernel evaluation.
+    """
+    # P0 = |psi|^2, and w1 = -dP0/dt = 2 kappa |c_100|^2 + 2 gamma (|c_010|^2 +
+    # |c_001|^2) for any state, because M + M^T = 2 diag(kappa, gamma, gamma).
+    p0 = np.sum(weights, axis=-1)
+    w1 = 2.0 * (params.kappa * weights[:, 0] + params.gamma * (weights[:, 1] + weights[:, 2]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.log(p0) - log_u
+        newton = residual * p0 / w1  # -f/f' for f = log P0 - log u
+    np.copyto(lo, t, where=active & (residual > 0.0))
+    np.copyto(hi, t, where=active & (residual <= 0.0))
+    active &= (np.abs(residual) > _RESIDUAL_TOL) & (hi - lo > _BRACKET_ULPS * np.spacing(hi))
+    t_newton = t + newton
+    bisect = ~((t_newton > lo) & (t_newton < hi) & (2.0 * np.abs(newton) <= np.abs(step_old)))
+    half = 0.5 * (hi - lo)
+    np.copyto(step_old, step, where=active)
+    np.copyto(step, np.where(bisect, half, newton), where=active)
+    t_next = np.where(bisect, lo + half, t_newton)
+    active &= t_next != t
+    np.copyto(t, t_next, where=active)
+    return bool(np.any(active))
 
 
 def sample_waiting_time(
@@ -122,8 +204,8 @@ def sample_waiting_time(
     ``u`` must lie in (0, 1]; u = 1 maps to t = 0 exactly.  Returns None when
     the survival at the horizon still exceeds u (no jump within the horizon;
     for gamma = 0 this happens with the finite probability of the dark
-    weight).  The root is bracketed by [0, horizon] and bisected to well
-    below 1e-10 * horizon.
+    weight).  The root is bracketed by [0, horizon] and polished by the same
+    safeguarded Newton iteration as ``simulate_trajectories``.
     """
     if not (isinstance(u, (int, float)) and math.isfinite(u)) or not 0.0 < u <= 1.0:
         raise InvalidUniformError(f"waiting-time uniform must be in (0, 1], got {u!r}")
@@ -136,14 +218,15 @@ def sample_waiting_time(
         return 0.0
     if u <= prop.survival(state, horizon):
         return None
-    lo, hi = 0.0, horizon
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if prop.survival(state, mid) > u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t, _ = _invert_survival(
+        prop.generator.params,
+        lambda times: np.abs(prop.apply(state, times)) ** 2,
+        np.log([u]),
+        np.zeros(1),
+        np.full(1, horizon),
+        np.full(1, 0.5 * horizon),
+    )
+    return float(t[0])
 
 
 def classify_jump(prop: Propagator, state_at_jump: StateVector, v: float) -> Channel:
@@ -202,23 +285,21 @@ def simulate_trajectories(
     codes = np.full(count, _CODE_NONE, dtype=np.int8)
     detected = np.zeros(count, dtype=bool)
 
-    survival_end = float(_survival_from_initial(params, horizon))
-    jumping = u > survival_end
+    table_t = np.concatenate(([0.0], np.geomspace(_TABLE_START * horizon, horizon, _TABLE_POINTS)))
+    table_t[-1] = horizon
+    table_p0 = np.sum(conditional_state(params, table_t) ** 2, axis=-1)
+    jumping = u > table_p0[-1]
     if not np.any(jumping):
         return times, codes, detected
 
     u_j = u[jumping]
-    lo = np.zeros(u_j.shape)
-    hi = np.full(u_j.shape, horizon)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        above = _survival_from_initial(params, mid) > u_j
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    t_jump = np.where(u_j >= 1.0, 0.0, 0.5 * (lo + hi))
+    t_jump, weights = _invert_survival(
+        params,
+        lambda t: conditional_state(params, t) ** 2,
+        np.log(u_j),
+        *_bracket_from_table(table_t, table_p0, u_j),
+    )
 
-    amps = conditional_state(params, t_jump)
-    weights = amps**2
     w_cav = 2.0 * params.kappa * weights[:, 0]
     w_a = 2.0 * params.gamma * weights[:, 1]
     w_b = 2.0 * params.gamma * weights[:, 2]

@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import darkstate_sim
+from darkstate_sim import Parameters, emission_probabilities
 from darkstate_sim.cli import main
 
 SATURATION = 0.4992508740634678
@@ -129,6 +132,25 @@ class TestTrajectoriesCommand:
         assert "max |z|" in err and "n=2000" in err
         assert np.max(np.abs(rows[:, 1:4].sum(axis=1) - 1.0)) < 1e-12
 
+    def test_z_score_uses_closed_form_error(self, capsys):
+        # With g_b = 0 nothing is trapped, so p0_hat reaches 0 while P0 > 0:
+        # an error taken from p_hat would be 0 there and the z-score infinite.
+        n = 20000
+        code, out, err = _run(
+            capsys, ["trajectories", "--gb", "0", "--trajectories", str(n)]
+        )
+        assert code == 0
+        _, rows = _parse_csv(out)
+        assert rows[-1, 1] == 0.0
+        exact = emission_probabilities(Parameters(1.0, 0.0, 1.0, 1e-3), rows[:, 0])
+        ref = np.stack([exact.p0, exact.p_cav, exact.p_spon], axis=1)
+        spread = ref * (1.0 - ref) > 0.0
+        z = np.abs(rows[:, 1:4] - ref)[spread] / np.sqrt(ref * (1.0 - ref) / n)[spread]
+        expected = float(np.max(z))
+        printed = float(err.rsplit("=", 1)[1])
+        assert math.isfinite(printed)
+        assert printed == pytest.approx(expected, abs=2e-3)
+
     def test_single_trajectory_one_hot(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -214,6 +236,10 @@ class TestErrorHandling:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
+        # The child must import the package under test even when pytest put
+        # it on sys.path (pyproject's pythonpath) rather than PYTHONPATH.
+        src = os.path.dirname(os.path.dirname(darkstate_sim.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [
                 sys.executable, "-m", "darkstate_sim.cli",
@@ -222,6 +248,7 @@ class TestModuleEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "t,P0,Pcav,Pspon"

@@ -23,6 +23,7 @@ from darkstate_sim import (
     simulate_trajectories,
     simulate_trajectory,
 )
+from darkstate_sim import montecarlo
 
 # Conditional channel probabilities by t = 50 for g_a = g_b = kappa = 1,
 # gamma = 1e-3 (cavity, spontaneous-from-a, spontaneous-from-b), frozen from
@@ -35,6 +36,19 @@ CHANNEL_BUDGET_AT_50 = np.array(
 # and chi-squared with two degrees of freedom.
 KS_COEFFICIENT_1PC = 1.6276
 CHI2_2DF_1PC = 9.21034
+
+CHUNK = 16_384
+
+# Regimes for the root finder: the paper set, an overdamped cavity, the exact
+# critical point S = 0, a bad cavity, one coupling off, lossless atoms.
+INVERSION_REGIMES = {
+    "paper": Parameters(1.0, 1.0, 1.0, 1e-3),
+    "overdamped": Parameters(1.0, 1.0, 20.0, 1e-3),
+    "critical": Parameters(3.0, 4.0, 10.0 + 2.0**-10, 2.0**-10),
+    "bad_cavity": Parameters(1.0, 1.0, 1e4, 1e-3),
+    "gb_zero": Parameters(1.0, 0.0, 1.0, 1e-3),
+    "gamma_zero": Parameters(1.0, 0.6, 1.0, 0.0),
+}
 
 
 class TestWaitingTime:
@@ -202,6 +216,43 @@ class TestTrajectories:
             simulate_trajectories(fig_params, 2**64, 0, 4)
         with pytest.raises(NegativeTimeError):
             simulate_trajectories(fig_params, 42, 0, 4, horizon=0.0)
+
+
+class TestInversion:
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_jump_times_solve_survival_law(self, name):
+        params = INVERSION_REGIMES[name]
+        times, codes, _ = simulate_trajectories(params, 2024, 0, CHUNK)
+        jumped = codes >= 0
+        assert np.all(np.isnan(times) == ~jumped)
+        draws = np.random.Generator(np.random.Philox(key=2024, counter=0)).random((CHUNK, 4))
+        u = 1.0 - draws[jumped, 0]
+        p0 = emission_probabilities(params, times[jumped]).p0
+        assert np.max(np.abs(p0 - u) / u) <= 1e-13
+
+    def test_uneven_splits_are_bit_identical(self, fig_params):
+        whole = simulate_trajectories(fig_params, 77, 0, CHUNK)
+        parts = [
+            simulate_trajectories(fig_params, 77, start, count)
+            for start, count in ((0, 1000), (1000, 7), (1007, CHUNK - 1007))
+        ]
+        for k in range(3):
+            joined = np.concatenate([part[k] for part in parts])
+            assert np.array_equal(whole[k], joined, equal_nan=True)
+
+    def test_kernel_calls_per_chunk(self, fig_params, monkeypatch):
+        calls = []
+        kernel = montecarlo.conditional_state
+
+        def counting(params, t):
+            calls.append(t)
+            return kernel(params, t)
+
+        monkeypatch.setattr(montecarlo, "conditional_state", counting)
+        simulate_trajectories(fig_params, 42, 0, CHUNK)
+        # One table call plus a few Newton steps; bisection of [0, horizon]
+        # or Newton fallen back to linear convergence takes dozens.
+        assert len(calls) <= 12
 
 
 class TestEnsemble:
