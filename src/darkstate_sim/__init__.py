@@ -19,6 +19,7 @@ from .errors import (
     EmptyGridError,
     InvalidUniformError,
     NegativeTimeError,
+    ProbabilityRangeError,
     SimulationError,
     ZeroRateError,
 )
@@ -28,13 +29,10 @@ from .model import (
     BASIS_LABELS,
     CAVITY_MODE,
     ConditionalGenerator,
-    LosslessEigensystem,
     Parameters,
     StateVector,
     conditional_generator,
     initial_state,
-    interaction_hamiltonian,
-    lossless_eigensystem,
 )
 from .montecarlo import (
     Channel,
@@ -74,9 +72,9 @@ __all__ = [
     "EmptyGridError",
     "EnsembleEstimate",
     "InvalidUniformError",
-    "LosslessEigensystem",
     "NegativeTimeError",
     "Parameters",
+    "ProbabilityRangeError",
     "ProbabilityTriple",
     "Propagator",
     "RepumpResult",
@@ -94,8 +92,6 @@ __all__ = [
     "fidelity",
     "first_emission_density",
     "initial_state",
-    "interaction_hamiltonian",
-    "lossless_eigensystem",
     "mixture_asymptotic",
     "mixture_at",
     "no_emission_probability",

@@ -55,13 +55,21 @@ def _output_stream(path: str):
             yield handle
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser, tmax_default: float) -> None:
+def _add_rate_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ga", type=float, default=1.0, help="coupling of atom a (default 1)")
     parser.add_argument("--gb", type=float, default=1.0, help="coupling of atom b (default 1)")
     parser.add_argument("--kappa", type=float, default=1.0, help="cavity decay rate (default 1)")
     parser.add_argument(
         "--gamma", type=float, default=1e-3, help="spontaneous decay rate (default 1e-3)"
     )
+
+
+def _add_output_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default="-", help="output CSV path, or - for stdout (default -)")
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser, tmax_default: float) -> None:
+    _add_rate_arguments(parser)
     parser.add_argument(
         "--tmax", type=float, default=tmax_default,
         help=f"end of the time grid (default {tmax_default:g})",
@@ -69,7 +77,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser, tmax_default: float) 
     parser.add_argument(
         "--steps", type=int, default=500, help="number of grid points (default 500)"
     )
-    parser.add_argument("--out", default="-", help="output CSV path, or - for stdout (default -)")
+    _add_output_argument(parser)
 
 
 def _parameters(args, eta: float = 1.0) -> Parameters:
@@ -265,12 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "repump", help="repump-and-wait purification ledger"
     )
-    p.add_argument("--ga", type=float, default=1.0, help="coupling of atom a (default 1)")
-    p.add_argument("--gb", type=float, default=1.0, help="coupling of atom b (default 1)")
-    p.add_argument("--kappa", type=float, default=1.0, help="cavity decay rate (default 1)")
-    p.add_argument(
-        "--gamma", type=float, default=1e-3, help="spontaneous decay rate (default 1e-3)"
-    )
+    _add_rate_arguments(p)
     p.add_argument(
         "--eta", type=float, default=1.0, help="detector efficiency (default 1.0)"
     )
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="repump click probability for the ground component (default 0.9)",
     )
     p.add_argument("--rounds", type=int, default=5, help="number of rounds (default 5)")
-    p.add_argument("--out", default="-", help="output CSV path, or - for stdout (default -)")
+    _add_output_argument(p)
     p.set_defaults(func=cmd_repump)
 
     return parser

@@ -23,3 +23,7 @@ class ZeroRateError(SimulationError):
 
 class EmptyGridError(SimulationError):
     """An ensemble was requested on an empty time grid."""
+
+
+class ProbabilityRangeError(SimulationError):
+    """A computed probability left [0, 1] by more than round-off."""

@@ -7,7 +7,7 @@ two two-level atoms (a and b).  The working basis, in this fixed order, is
     |010>   atom a excited,
     |001>   atom b excited,
 
-with the common ground state |000> tracked separately as a scalar weight.
+while the common ground state |000>, reached by any emission, lies outside it.
 All rates (couplings g_a, g_b, cavity amplitude decay kappa, atomic amplitude
 decay gamma) share one inverse-time unit; intensities decay at twice the
 amplitude rates.
@@ -22,10 +22,11 @@ real, non-normal generator
 Its spectrum is known in closed form: lambda_0 = gamma belongs to the dark
 state (g_a|001> - g_b|010>)/sqrt(g_a^2+g_b^2), which never populates the
 cavity and is immune to cavity loss; the two remaining eigenvalues are
-(kappa + gamma +/- i S)/2 with S = sqrt(4(g_a^2+g_b^2) - (kappa-gamma)^2).
-S is real in the oscillatory regime and purely imaginary when the cavity is
-overdamped; it is carried as a complex number throughout so both regimes run
-through the same code path.
+(kappa + gamma +/- i S)/2 with S^2 = 4(g_a^2+g_b^2) - (kappa-gamma)^2.
+S is real in the oscillatory regime, zero at the critical point (where M is
+defective) and imaginary when the cavity is overdamped.  The propagator never
+forms these eigenvalues: it works with the real S^2 and the dark projector
+(see ``propagator``).
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ ATOM_A = 1
 ATOM_B = 2
 
 BASIS_LABELS = ("100", "010", "001")
-
-# Minimum pairwise eigenvalue gap, relative to the total rate scale, below
-# which the spectral propagator is considered ill-conditioned.
-NEAR_DEGENERATE_GAP = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,11 +89,6 @@ class Parameters:
         """g_a^2 + g_b^2, the squared collective coupling."""
         return self.g_a**2 + self.g_b**2
 
-    @property
-    def rate_scale(self) -> float:
-        """kappa + gamma + g_a + g_b, the scale used for degeneracy checks."""
-        return self.kappa + self.gamma + self.g_a + self.g_b
-
 
 def _require_coupling(params: Parameters) -> None:
     if params.coupling_squared == 0.0:
@@ -107,30 +99,23 @@ def _require_coupling(params: Parameters) -> None:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state in the single-excitation sector plus a ground-state weight.
+    """Pure state in the single-excitation sector.
 
     ``amplitudes`` holds the complex coefficients on (|100>, |010>, |001>);
-    ``ground_weight`` is the accumulated population of |000> when the object
-    represents a trajectory state after emission bookkeeping.  The total
-    weight never exceeds one.
+    the total weight never exceeds one.
     """
 
     amplitudes: np.ndarray
-    ground_weight: float = 0.0
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (3,):
             raise ValueError("amplitudes must have exactly three components")
-        weight = float(self.ground_weight)
-        if weight < 0.0:
-            raise ValueError("ground_weight must be nonnegative")
-        total = float(np.sum(np.abs(amps) ** 2)) + weight
+        total = float(np.sum(np.abs(amps) ** 2))
         if total > 1.0 + 1e-12:
             raise ValueError(f"total weight {total} exceeds one")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "ground_weight", weight)
 
     @property
     def norm_squared(self) -> float:
@@ -138,7 +123,7 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def normalized(self) -> "StateVector":
-        """Unit-norm copy of the excited sector (ground weight discarded)."""
+        """Unit-norm copy of the state."""
         norm = math.sqrt(self.norm_squared)
         if norm == 0.0:
             raise ValueError("cannot normalize a zero state")
@@ -150,73 +135,20 @@ def initial_state() -> StateVector:
     return StateVector(np.array([0.0, 1.0, 0.0]))
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    """Fix the global phase so the largest-magnitude component is real > 0."""
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    out = vec / phase
-    # The pivot is exactly real by construction; drop the rounding residue.
-    out[pivot] = out[pivot].real
-    return out
+def _split_squared(params: Parameters) -> float:
+    """S^2 = 4(g_a^2+g_b^2) - (kappa-gamma)^2: > 0 oscillatory, < 0 overdamped."""
+    return 4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2
 
 
-def interaction_hamiltonian(params: Parameters) -> np.ndarray:
-    """Real generator of the lossless coupled dynamics.
-
-    Returns the 3x3 real matrix G such that the interaction Hamiltonian is
-    H = -i*hbar*G in the working basis; the lossless Schroedinger evolution
-    is then psi' = -G psi.  With zero couplings this is the zero matrix.
-    """
+def _generator_matrix(params: Parameters) -> np.ndarray:
+    """The real 3x3 generator M of the no-detection evolution exp(-M t)."""
     g_a, g_b = params.g_a, params.g_b
     return np.array(
         [
-            [0.0, g_a, g_b],
-            [-g_a, 0.0, 0.0],
-            [-g_b, 0.0, 0.0],
+            [params.kappa, g_a, g_b],
+            [-g_a, params.gamma, 0.0],
+            [-g_b, 0.0, params.gamma],
         ]
-    )
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class LosslessEigensystem:
-    """Spectrum of the lossless interaction.
-
-    ``frequencies`` are the eigenfrequencies (0, +Omega, -Omega) with
-    Omega = sqrt(g_a^2 + g_b^2); column i of ``states`` is the eigenvector
-    for frequency i, the dark state first.
-    """
-
-    frequencies: np.ndarray
-    states: np.ndarray
-    dark_state: StateVector
-
-
-def lossless_eigensystem(params: Parameters) -> LosslessEigensystem:
-    """Eigenfrequencies and eigenstates of the lossless interaction.
-
-    The dark state (g_a|001> - g_b|010>)/Omega has no cavity component and
-    eigenfrequency zero; the two bright states split by +/- Omega and mix the
-    cavity mode with the coupled atomic combination at relative phase i.
-    Global phases follow the largest-component-real-positive convention.
-    """
-    _require_coupling(params)
-    g_a, g_b = params.g_a, params.g_b
-    omega = math.sqrt(params.coupling_squared)
-
-    dark = _phase_fixed(np.array([0.0, -g_b, g_a], dtype=complex) / omega)
-    bright = []
-    for sign in (+1.0, -1.0):
-        vec = np.array(
-            [1.0, sign * 1j * g_a / omega, sign * 1j * g_b / omega], dtype=complex
-        ) / math.sqrt(2.0)
-        bright.append(_phase_fixed(vec))
-
-    frequencies = np.array([0.0, omega, -omega])
-    states = np.column_stack([dark, bright[0], bright[1]])
-    return LosslessEigensystem(
-        frequencies=frequencies,
-        states=states,
-        dark_state=StateVector(dark),
     )
 
 
@@ -236,17 +168,8 @@ class ConditionalGenerator:
         S = sqrt(4(g_a^2+g_b^2) - (kappa-gamma)^2); real in the oscillatory
         regime, purely imaginary when overdamped.
     dark_state : StateVector
-        Eigenvector of the dark eigenvalue; independent of kappa and gamma.
-    eigenvectors : ndarray
-        Columns are unit eigenvectors matching ``eigenvalues``.
-    reciprocal_basis : ndarray or None
-        Rows r_i with r_i . v_j = delta_ij (plain, unconjugated pairing),
-        i.e. the inverse of the eigenvector matrix; None when the spectrum
-        is defective (S = 0) and no such basis exists.
-    near_degenerate : bool
-        True when the smallest pairwise eigenvalue gap falls below
-        1e-8 * (kappa + gamma + g_a + g_b); signals propagators to avoid
-        the spectral form.
+        Eigenvector of the dark eigenvalue; independent of kappa and gamma,
+        with its largest component real and positive.
     """
 
     params: Parameters
@@ -254,9 +177,6 @@ class ConditionalGenerator:
     eigenvalues: np.ndarray
     s_parameter: complex
     dark_state: StateVector
-    eigenvectors: np.ndarray
-    reciprocal_basis: np.ndarray | None
-    near_degenerate: bool
 
 
 def conditional_generator(params: Parameters) -> ConditionalGenerator:
@@ -268,57 +188,23 @@ def conditional_generator(params: Parameters) -> ConditionalGenerator:
     +/- iS/2.
     """
     _require_coupling(params)
-    g_a, g_b, kappa, gamma = params.g_a, params.g_b, params.kappa, params.gamma
-    omega_sq = params.coupling_squared
-
-    matrix = np.array(
-        [
-            [kappa, g_a, g_b],
-            [-g_a, gamma, 0.0],
-            [-g_b, 0.0, gamma],
-        ]
-    )
-
-    s_parameter = complex(np.sqrt(complex(4.0 * omega_sq - (kappa - gamma) ** 2)))
-    mean_decay = kappa + gamma
+    g_a, g_b = params.g_a, params.g_b
+    s_parameter = complex(np.sqrt(complex(_split_squared(params))))
+    mean_decay = params.kappa + params.gamma
     eigenvalues = np.array(
         [
-            gamma,
+            params.gamma,
             (mean_decay + 1j * s_parameter) / 2.0,
             (mean_decay - 1j * s_parameter) / 2.0,
         ],
         dtype=complex,
     )
-
-    gaps = [
-        abs(eigenvalues[0] - eigenvalues[1]),
-        abs(eigenvalues[0] - eigenvalues[2]),
-        abs(eigenvalues[1] - eigenvalues[2]),
-    ]
-    near_degenerate = min(gaps) < NEAR_DEGENERATE_GAP * params.rate_scale
-
-    dark = _phase_fixed(
-        np.array([0.0, -g_b, g_a], dtype=complex) / math.sqrt(omega_sq)
-    )
-    columns = [dark]
-    for ev in eigenvalues[1:]:
-        vec = np.array([ev - gamma, -g_a, -g_b], dtype=complex)
-        columns.append(_phase_fixed(vec / np.linalg.norm(vec)))
-    eigenvectors = np.column_stack(columns)
-
-    try:
-        reciprocal = np.linalg.inv(eigenvectors)
-    except np.linalg.LinAlgError:
-        # Defective spectrum (S = 0): no reciprocal basis exists.
-        reciprocal = None
-
+    sign = 1.0 if g_b >= g_a else -1.0
+    dark = sign * np.array([0.0, g_b, -g_a]) / math.sqrt(params.coupling_squared)
     return ConditionalGenerator(
         params=params,
-        matrix=matrix,
+        matrix=_generator_matrix(params),
         eigenvalues=eigenvalues,
         s_parameter=s_parameter,
         dark_state=StateVector(dark),
-        eigenvectors=eigenvectors,
-        reciprocal_basis=reciprocal,
-        near_degenerate=near_degenerate,
     )

@@ -229,28 +229,37 @@ def sample_waiting_time(
     return float(t[0])
 
 
-def classify_jump(prop: Propagator, state_at_jump: StateVector, v: float) -> Channel:
-    """Pick the emission channel from the rate weights at the jump moment.
+def _classify(params, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Channel codes from the weights |c|^2 at the jumps, shape (n, 3).
 
     Thresholds are cumulative in the fixed order CAVITY, SPON_A, SPON_B:
     v < w_cav/w1 selects CAVITY, v < (w_cav+w_a)/w1 selects SPON_A, and
-    SPON_B otherwise.
+    SPON_B otherwise, with the rates w_cav = 2 kappa |c_100|^2 and
+    w_a, w_b = 2 gamma |c_010|^2, 2 gamma |c_001|^2 summing to w1.
+    """
+    w_cav = 2.0 * params.kappa * weights[:, 0]
+    w_a = 2.0 * params.gamma * weights[:, 1]
+    w_b = 2.0 * params.gamma * weights[:, 2]
+    total = w_cav + w_a + w_b
+    if np.any(total <= 0.0):
+        raise ZeroRateError("total emission rate vanishes at the jump state")
+    return np.where(
+        v < w_cav / total,
+        _CODE_CAVITY,
+        np.where(v < (w_cav + w_a) / total, _CODE_SPON_A, _CODE_SPON_B),
+    ).astype(np.int8)
+
+
+def classify_jump(prop: Propagator, state_at_jump: StateVector, v: float) -> Channel:
+    """Pick the emission channel from the rate weights at the jump moment.
+
+    The thresholds are those of the trajectory batches (see ``_classify``).
     """
     if not (isinstance(v, (int, float)) and math.isfinite(v)) or not 0.0 <= v <= 1.0:
         raise InvalidUniformError(f"channel uniform must be in [0, 1], got {v!r}")
-    params = prop.generator.params
-    weights = np.abs(state_at_jump.amplitudes) ** 2
-    w_cav = 2.0 * params.kappa * weights[0]
-    w_a = 2.0 * params.gamma * weights[1]
-    w_b = 2.0 * params.gamma * weights[2]
-    total = w_cav + w_a + w_b
-    if total <= 0.0:
-        raise ZeroRateError("total emission rate vanishes at the jump state")
-    if v < w_cav / total:
-        return Channel.CAVITY
-    if v < (w_cav + w_a) / total:
-        return Channel.SPON_A
-    return Channel.SPON_B
+    weights = np.abs(state_at_jump.amplitudes[None, :]) ** 2
+    code = _classify(prop.generator.params, weights, np.array([v]))[0]
+    return _CODE_TO_CHANNEL[int(code)]
 
 
 def simulate_trajectories(
@@ -300,18 +309,7 @@ def simulate_trajectories(
         *_bracket_from_table(table_t, table_p0, u_j),
     )
 
-    w_cav = 2.0 * params.kappa * weights[:, 0]
-    w_a = 2.0 * params.gamma * weights[:, 1]
-    w_b = 2.0 * params.gamma * weights[:, 2]
-    total = w_cav + w_a + w_b
-    if np.any(total <= 0.0):
-        raise ZeroRateError("total emission rate vanishes at a sampled jump")
-    v_j = v[jumping]
-    code_j = np.where(
-        v_j < w_cav / total,
-        _CODE_CAVITY,
-        np.where(v_j < (w_cav + w_a) / total, _CODE_SPON_A, _CODE_SPON_B),
-    ).astype(np.int8)
+    code_j = _classify(params, weights, v[jumping])
 
     times[jumping] = t_jump
     codes[jumping] = code_j

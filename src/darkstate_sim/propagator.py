@@ -1,43 +1,49 @@
 """Exact no-detection propagation and the emission probability budget.
 
-The conditional propagator U(t) = exp(-M t) is evaluated spectrally through
-the three-term Lagrange interpolation on the closed-form eigenvalues,
+One real closed form evaluates U(t) = exp(-M t) in every regime.  The dark
+vector d = (0, g_b, -g_a)/Omega is a left and a right eigenvector of M with
+eigenvalue gamma, so the dark projector D = d d^T commutes with M and the
+bright plane P = I - D (the cavity mode and the coupled atomic combination)
+is invariant.  On that plane (M - a/2)^2 = -S^2/4, with a = kappa + gamma and
+S^2 = 4 Omega^2 - (kappa - gamma)^2, so that
 
-    exp(-M t) = sum_i exp(-lambda_i t) * prod_{j != i} (M - lambda_j) / (lambda_i - lambda_j),
+    U(t) = e0 D + c P + s Q,    Q = 2 (a/2 - M) P,
+    e0 = e^{-gamma t},  c = e^{-a t/2} cos(S t/2),  s = e^{-a t/2} sin(S t/2) / S.
 
-and falls back to a scaling-and-squaring Taylor series when the spectrum is
-(near-)degenerate.  On top of it sit the closed forms for the conditional
-state grown from |010>, the no-emission probability P0(t), the first-emission
-waiting density, and the cavity/spontaneous emission budget.
+``_split_factors`` evaluates (e0, c, s) in real arithmetic and branches once
+per parameter set on the sign of S^2: cos and sin when the cavity is
+oscillatory (S^2 > 0), their limits c = e^{-a t/2}, s = (t/2) e^{-a t/2} at
+the critical point (S^2 = 0, where M is defective), and the two real bright
+decays when it is overdamped (S^2 < 0).  There the slow rate is taken from
+the product lambda_+ lambda_- = kappa gamma + Omega^2, not from the difference
+(a - sqrt(-S^2))/2, which cancels in a bad cavity (kappa >> Omega).  The
+conditional state grown from |010> is column 1 of U(t), and the cavity
+emission probability is a closed form in the same three factors.
 
-All time-dependent quantities accept scalar or array times.  Intermediate
-arithmetic is complex (the spectral split S may be imaginary in the
-overdamped regime); physical outputs are asserted real to 1e-12 and returned
-as real floats, and probabilities are clipped to [0, 1] after asserting any
-violation is below 1e-10.
+All time-dependent quantities accept scalar or array times.  Probabilities
+are clipped to [0, 1]; a violation beyond round-off raises
+ProbabilityRangeError.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .errors import NegativeTimeError
+from .errors import NegativeTimeError, ProbabilityRangeError
 from .model import (
     ConditionalGenerator,
     Parameters,
     StateVector,
+    _generator_matrix,
     _require_coupling,
+    _split_squared,
     conditional_generator,
     initial_state,
 )
 
-# Crossover |S*t| below which sin(S t)/S style factors switch to their series
-# to avoid 0/0 at a degenerate split.
-_SMALL_PHASE = 1e-4
-
-_IMAG_TOL = 1e-12
 _PROB_TOL = 1e-10
 
 
@@ -48,98 +54,101 @@ def _check_times(t) -> np.ndarray:
     return arr
 
 
-def _real_checked(values: np.ndarray) -> np.ndarray:
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    assert residue < _IMAG_TOL, f"imaginary residue {residue} exceeds {_IMAG_TOL}"
-    return values.real
-
-
 def _clipped_probability(p: np.ndarray):
     arr = np.asarray(p, dtype=float)
     if arr.size:
         worst = float(max(np.max(-arr), np.max(arr - 1.0), 0.0))
-        assert worst < _PROB_TOL, f"probability out of range by {worst}"
+        if not worst < _PROB_TOL:
+            raise ProbabilityRangeError(f"probability out of range by {worst}")
     out = np.clip(arr, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _expm_series(matrix: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """exp(matrix) for a small real matrix via scaling-and-squaring Taylor."""
-    norm = np.linalg.norm(matrix, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-    scaled = matrix / (2.0**squarings)
-    dim = matrix.shape[0]
-    result = np.eye(dim)
-    term = np.eye(dim)
-    for k in range(1, 60):
-        term = term @ scaled / k
-        result = result + term
-        if np.linalg.norm(term, 1) <= tol * np.linalg.norm(result, 1):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+def _split_factors(params: Parameters, times: np.ndarray):
+    """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring)."""
+    mean_decay = params.kappa + params.gamma
+    split_sq = _split_squared(params)
+    e0 = np.exp(-params.gamma * times)
+    if split_sq > 0.0:
+        split = math.sqrt(split_sq)
+        envelope = np.exp(-0.5 * mean_decay * times)
+        phase = 0.5 * split * times
+        return e0, envelope * np.cos(phase), envelope * np.sin(phase) / split
+    if split_sq == 0.0:
+        envelope = np.exp(-0.5 * mean_decay * times)
+        return e0, envelope, 0.5 * times * envelope
+    # Overdamped: bright rates lambda_+- = (a +- sigma)/2, with
+    # c = (e^{-lambda_- t} + e^{-lambda_+ t})/2 and
+    # s = (e^{-lambda_- t} - e^{-lambda_+ t})/(2 sigma).
+    sigma = math.sqrt(-split_sq)
+    slow = (params.kappa * params.gamma + params.coupling_squared) / (0.5 * (mean_decay + sigma))
+    slow_decay = np.exp(-slow * times)
+    gap = np.expm1(-sigma * times)
+    return e0, slow_decay * (1.0 + 0.5 * gap), -slow_decay * gap / (2.0 * sigma)
+
+
+def _projectors(params: Parameters) -> np.ndarray:
+    """Omega^2 (D, P, Q), stacked, for U(t) = e0 D + c P + s Q.
+
+    Left unnormalized so that D + P = I holds exactly at t = 0.
+    """
+    _require_coupling(params)
+    dark = np.array([0.0, params.g_b, -params.g_a])
+    bright = np.array([0.0, params.g_a, params.g_b])
+    plane = np.outer(bright, bright)
+    plane[0, 0] = params.coupling_squared  # the cavity mode
+    mean_decay = params.kappa + params.gamma
+    sine = mean_decay * plane - 2.0 * _generator_matrix(params) @ plane
+    return np.stack([np.outer(dark, dark), plane, sine])
+
+
+def _propagate(params: Parameters, times: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """e0 D + c P + s Q from the rows of ``_projectors`` (or their columns).
+
+    Elementwise, not a matrix product, so that each time's result does not
+    depend on how many times are evaluated together.
+    """
+    e0, cos_factor, sin_factor = _split_factors(params, times)
+    total = (
+        np.multiply.outer(e0, basis[0])
+        + np.multiply.outer(cos_factor, basis[1])
+        + np.multiply.outer(sin_factor, basis[2])
+    )
+    return total / params.coupling_squared
 
 
 class Propagator:
     """Evaluates U(t) = exp(-M t) for a fixed conditional generator.
 
-    ``method`` is "spectral" (Lagrange interpolation on the closed-form
-    eigenvalues, the default) or "series" (scaling-and-squaring Taylor);
-    near-degenerate generators select the series automatically.  Instances
-    are immutable after construction and safe to share across threads.
+    ``method`` is a read-only label of the regime: "series" when the
+    generator is defective (S^2 = 0 exactly), "spectral" otherwise.  Both
+    evaluate the same closed form; the label only names the branch of
+    ``_split_factors`` taken.  Instances are immutable after construction
+    and safe to share across threads.
     """
 
-    def __init__(self, generator: ConditionalGenerator, method: str | None = None):
-        if method is None:
-            method = "series" if generator.near_degenerate else "spectral"
-        if method not in ("spectral", "series"):
-            raise ValueError(f"unknown propagator method {method!r}")
+    def __init__(self, generator: ConditionalGenerator):
         self.generator = generator
-        self.method = method
-        self._covariants = None
-        if method == "spectral":
-            self._covariants = self._build_covariants()
+        self._basis = _projectors(generator.params)
 
     @classmethod
-    def from_parameters(cls, params: Parameters, method: str | None = None) -> "Propagator":
-        return cls(conditional_generator(params), method=method)
+    def from_parameters(cls, params: Parameters) -> "Propagator":
+        return cls(conditional_generator(params))
 
-    def _build_covariants(self) -> np.ndarray:
-        lam = self.generator.eigenvalues
-        m = self.generator.matrix.astype(complex)
-        eye = np.eye(3, dtype=complex)
-        covariants = []
-        for i in range(3):
-            numerator = eye
-            denominator = 1.0 + 0.0j
-            for j in range(3):
-                if j == i:
-                    continue
-                numerator = numerator @ (m - lam[j] * eye)
-                denominator = denominator * (lam[i] - lam[j])
-            covariants.append(numerator / denominator)
-        return np.stack(covariants)
+    @property
+    def method(self) -> str:
+        return "series" if _split_squared(self.generator.params) == 0.0 else "spectral"
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        times = _check_times(t)
-        if self.method == "spectral":
-            weights = np.exp(-np.multiply.outer(times, self.generator.eigenvalues))
-            u = np.einsum("...i,ijk->...jk", weights, self._covariants)
-            return _real_checked(u)
-        flat = np.atleast_1d(times)
-        stacked = np.stack([_expm_series(-self.generator.matrix * tt) for tt in flat])
-        return stacked.reshape(times.shape + (3, 3))
+        return _propagate(self.generator.params, _check_times(t), self._basis)
 
     def apply(self, state, t) -> np.ndarray:
         """Amplitudes of U(t) applied to ``state`` (StateVector or length-3)."""
         if isinstance(state, StateVector):
             psi = state.amplitudes
         else:
-            psi = np.asarray(state, dtype=complex)
+            psi = np.asarray(state)
             if psi.shape != (3,):
                 raise ValueError("state must have three amplitudes")
         return self.matrix(t) @ psi
@@ -151,71 +160,15 @@ class Propagator:
         return float(out) if out.ndim == 0 else out
 
 
-def _split_factors(params: Parameters, times: np.ndarray):
-    """Shared spectral factors of the closed forms.
-
-    Returns (e0, cos_factor, sin_factor) with
-        e0         = exp(-gamma t)
-        cos_factor = exp(-(kappa+gamma) t / 2) cos(S t / 2)
-        sin_factor = exp(-(kappa+gamma) t / 2) sin(S t / 2) / S
-    evaluated through the decaying eigen-exponentials so the overdamped
-    regime (imaginary S, where cos/sin grow as cosh/sinh) never overflows.
-    """
-    mean_decay = params.kappa + params.gamma
-    s = complex(np.sqrt(complex(4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2)))
-    lam_plus = (mean_decay + 1j * s) / 2.0
-    lam_minus = (mean_decay - 1j * s) / 2.0
-
-    e_plus = np.exp(-lam_plus * times)
-    e_minus = np.exp(-lam_minus * times)
-    e0 = np.exp(-params.gamma * times)
-    cos_factor = 0.5 * (e_plus + e_minus)
-
-    phase = 0.5 * s * times
-    small = np.abs(phase) < _SMALL_PHASE
-    envelope = np.exp(-0.5 * mean_decay * times)
-    series = envelope * 0.5 * times * (1.0 - phase**2 / 6.0 + phase**4 / 120.0)
-    s_safe = s if s != 0.0 else 1.0
-    direct = (e_minus - e_plus) / (2j * s_safe)
-    sin_factor = np.where(small, series, direct)
-    return e0, cos_factor, sin_factor
-
-
 def conditional_state(params: Parameters, t) -> np.ndarray:
     """Closed-form unnormalized conditional state grown from |010>.
 
-    Splits into the persistent dark component, decaying only at the
-    spontaneous rate, plus the two bright components decaying at the mean
-    rate (kappa+gamma)/2 while precessing with S/2:
-
-        psi(t) = [ g_b e^{-gamma t} (0, g_b, -g_a)
-                   + g_a e^{-(kappa+gamma)t/2} ( cos(St/2) (0, g_a, g_b)
-                     + sin(St/2)/S (-2(g_a^2+g_b^2), g_a(kappa-gamma),
-                                    g_b(kappa-gamma)) ) ] / (g_a^2+g_b^2)
-
+    Column 1 of U(t): the dark component decays only at the spontaneous rate,
+    the two bright components at the mean rate (kappa+gamma)/2 while
+    precessing with S/2 (or at the two real bright rates when overdamped).
     Returns real amplitudes of shape t.shape + (3,).
     """
-    _require_coupling(params)
-    times = _check_times(t)
-    g_a, g_b = params.g_a, params.g_b
-    omega_sq = params.coupling_squared
-    detuning = params.kappa - params.gamma
-
-    e0, cos_factor, sin_factor = _split_factors(params, times)
-
-    dark_vec = np.array([0.0, g_b, -g_a])
-    bright_cos = np.array([0.0, g_a, g_b])
-    bright_sin = np.array([-2.0 * omega_sq, g_a * detuning, g_b * detuning])
-
-    psi = (
-        g_b * np.multiply.outer(e0, dark_vec)
-        + g_a
-        * (
-            np.multiply.outer(cos_factor, bright_cos)
-            + np.multiply.outer(sin_factor, bright_sin)
-        )
-    ) / omega_sq
-    return _real_checked(psi)
+    return _propagate(params, _check_times(t), _projectors(params)[:, :, 1])
 
 
 def no_emission_probability(prop: Propagator, t):
@@ -274,46 +227,22 @@ def cavity_emission_probability(params: Parameters, t):
     Time integral of the cavity rate 2 kappa |c_100(t')|^2, in closed form.
     Writing a = kappa+gamma, the bracket multiplying the saturation value is
 
-        1 - e^{-a t} [ 1 + a^2 (1-cos(S t))/S^2 + a sin(S t)/S ],
+        1 - e^{-a t} [ 1 + a^2 (1-cos(S t))/S^2 + a sin(S t)/S ]
+          = 1 - e^{-a t} - 2 a s (a s + c)
 
-    evaluated through decaying eigen-exponentials (overflow-free when S is
-    imaginary) with a series branch at small |S t|.
+    in the factors c, s of ``_split_factors``, which keeps it real and
+    overflow-free in every regime.
     """
     _require_coupling(params)
     times = _check_times(t)
     mean_decay = params.kappa + params.gamma
-    s = complex(np.sqrt(complex(4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2)))
-    lam_plus = (mean_decay + 1j * s) / 2.0
-    lam_minus = (mean_decay - 1j * s) / 2.0
-
-    phase = s * times
-    small = np.abs(phase) < _SMALL_PHASE
-
-    # Series route: sinc-style factors, safe only because |S t| is small.
-    half = phase / 2.0
-    sinc_half = 1.0 - half**2 / 6.0 + half**4 / 120.0
-    sinc_full = 1.0 - phase**2 / 6.0 + phase**4 / 120.0
-    decay = np.exp(-mean_decay * times)
-    bracket_series = decay * (
+    _, cos_factor, sin_factor = _split_factors(params, times)
+    bracket = (
         1.0
-        + mean_decay**2 * times**2 * 0.5 * sinc_half**2
-        + mean_decay * times * sinc_full
+        - np.exp(-mean_decay * times)
+        - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     )
-
-    # Eigen-exponential route: every factor decays, so nothing overflows.
-    s_safe = s if s != 0.0 else 1.0
-    e_plus = np.exp(-lam_plus * times)
-    e_minus = np.exp(-lam_minus * times)
-    delta = e_minus - e_plus  # = 2i e^{-a t/2} sin(S t / 2)
-    bracket_direct = (
-        decay
-        - mean_decay**2 * delta**2 / (2.0 * s_safe**2)
-        + mean_decay * (e_minus**2 - e_plus**2) / (2j * s_safe)
-    )
-
-    bracket = np.where(small, bracket_series, bracket_direct)
-    value = cavity_emission_saturation(params) * (1.0 - bracket)
-    return _clipped_probability(_real_checked(value))
+    return _clipped_probability(cavity_emission_saturation(params) * bracket)
 
 
 def spontaneous_emission_probability_asymptotic(params: Parameters, t):

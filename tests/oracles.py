@@ -2,12 +2,14 @@
 
 Everything here is implemented from scratch on top of numpy, deliberately
 avoiding the code paths under test: matrix exponentials via a separately
-written scaling-and-squaring Taylor sum and via numpy's eigendecomposition,
-integrals via adaptive Simpson quadrature, and derivatives via central
-differences.
+written scaling-and-squaring Taylor sum (in floating point, and in 50-digit
+``decimal`` arithmetic) and via numpy's eigendecomposition, integrals via
+adaptive Simpson quadrature, and derivatives via central differences.
 """
 
 from __future__ import annotations
+
+import decimal
 
 import numpy as np
 
@@ -35,6 +37,44 @@ def expm_taylor(matrix: np.ndarray, tol: float = 1e-16, max_terms: int = 120) ->
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def expm_decimal(matrix, digits: int = 50) -> list[list[decimal.Decimal]]:
+    """exp(matrix) of a real square matrix at ``digits`` significant digits.
+
+    The float entries are converted exactly, scaled by a power of two until
+    the infinity norm is at most 1/2, summed as a Taylor series until a term
+    falls below 10^-(digits+5) of the sum, and squared back up.  Every step
+    runs in ``decimal`` arithmetic, so the result has no float round-off.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        a = [[decimal.Decimal(float(x)) for x in row] for row in np.asarray(matrix, dtype=float)]
+        dim = len(a)
+        norm = max(sum(abs(x) for x in row) for row in a)
+        squarings = 0
+        while norm > decimal.Decimal("0.5"):
+            norm /= 2
+            squarings += 1
+        scale = decimal.Decimal(2) ** squarings
+        a = [[x / scale for x in row] for row in a]
+
+        def matmul(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+
+        result = [[decimal.Decimal(int(i == j)) for j in range(dim)] for i in range(dim)]
+        term = [row[:] for row in result]
+        tiny = decimal.Decimal(10) ** -(digits + 5)
+        k = 0
+        while True:
+            k += 1
+            term = [[x / k for x in row] for row in matmul(term, a)]
+            result = [[r + t for r, t in zip(rrow, trow)] for rrow, trow in zip(result, term)]
+            if max(abs(x) for row in term for x in row) <= tiny:
+                break
+        for _ in range(squarings):
+            result = matmul(result, result)
+        return [[+x for x in row] for row in result]
 
 
 def expm_eig(matrix: np.ndarray) -> np.ndarray:

@@ -9,11 +9,10 @@ from darkstate_sim import (
     BASIS_LABELS,
     DegenerateCouplingError,
     Parameters,
+    Propagator,
     StateVector,
     conditional_generator,
     initial_state,
-    interaction_hamiltonian,
-    lossless_eigensystem,
 )
 
 
@@ -23,10 +22,9 @@ class TestParameters:
         assert p.gamma == 0.0 and p.eta == 1.0
         assert isinstance(p.g_a, float) and p.g_a == 1.0
 
-    def test_coupling_squared_and_rate_scale(self):
+    def test_coupling_squared(self):
         p = Parameters(g_a=3.0, g_b=4.0, kappa=2.0, gamma=0.5)
         assert p.coupling_squared == 25.0
-        assert p.rate_scale == 2.0 + 0.5 + 3.0 + 4.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,15 +49,12 @@ class TestParameters:
         assert p.coupling_squared == 0.0
         with pytest.raises(DegenerateCouplingError):
             conditional_generator(p)
-        with pytest.raises(DegenerateCouplingError):
-            lossless_eigensystem(p)
 
 
 class TestStateVector:
     def test_initial_state_is_atom_a_excitation(self):
         state = initial_state()
         assert np.array_equal(state.amplitudes, [0.0, 1.0, 0.0])
-        assert state.ground_weight == 0.0
         assert state.norm_squared == 1.0
         assert BASIS_LABELS[ATOM_A] == "010"
         assert (CAVITY_MODE, ATOM_A, ATOM_B) == (0, 1, 2)
@@ -73,14 +68,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 0.0]))
 
-    def test_ground_weight_validation(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([0.0, 1.0, 0.0]), ground_weight=-0.1)
-
     def test_total_weight_capped_at_one(self):
         with pytest.raises(ValueError):
-            StateVector(np.array([0.0, 1.0, 0.0]), ground_weight=0.5)
-        StateVector(np.array([0.0, 0.6, 0.0]), ground_weight=0.5)  # 0.86 total: fine
+            StateVector(np.array([0.0, 1.0, 0.5]))
+        StateVector(np.array([0.0, 0.6, 0.7]))  # 0.85 total: fine
 
     def test_normalized(self):
         state = StateVector(np.array([0.3, 0.4, 0.0]))
@@ -92,52 +83,23 @@ class TestStateVector:
 
 class TestInteraction:
     def test_matrix_layout(self):
-        h = interaction_hamiltonian(Parameters(g_a=2.0, g_b=3.0, kappa=1.0))
+        # The coupling part of M, G = M - diag(kappa, gamma, gamma), is the
+        # antisymmetric lossless generator.
+        gen = conditional_generator(Parameters(g_a=2.0, g_b=3.0, kappa=1.0, gamma=0.5))
+        h = gen.matrix - np.diag([1.0, 0.5, 0.5])
         expected = np.array([[0.0, 2.0, 3.0], [-2.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
         assert np.array_equal(h, expected)
         assert np.array_equal(h, -h.T)
-
-    def test_eigenfrequency_magnitudes(self):
-        # couplings (3, 4): one zero mode and a pair split by the collective 5.
-        h = interaction_hamiltonian(Parameters(g_a=3.0, g_b=4.0, kappa=1.0))
-        magnitudes = np.sort(np.abs(np.linalg.eigvals(h)))
-        assert np.allclose(magnitudes, [0.0, 5.0, 5.0], atol=1e-12)
 
     def test_conditional_matrix_is_interaction_plus_decay(self, rng):
         for _ in range(10):
             p = random_parameters(rng)
             gen = conditional_generator(p)
             decay = np.diag([p.kappa, p.gamma, p.gamma])
-            assert np.allclose(
-                gen.matrix, interaction_hamiltonian(p) + decay, atol=1e-15
+            coupling = np.array(
+                [[0.0, p.g_a, p.g_b], [-p.g_a, 0.0, 0.0], [-p.g_b, 0.0, 0.0]]
             )
-
-
-class TestLosslessEigensystem:
-    def test_frequencies_and_dark_state(self):
-        eig = lossless_eigensystem(Parameters(g_a=3.0, g_b=4.0, kappa=1.0))
-        assert np.allclose(eig.frequencies, [0.0, 5.0, -5.0])
-        dark = eig.dark_state.amplitudes
-        assert dark[0] == 0.0
-        assert np.allclose(np.abs(dark), [0.0, 0.8, 0.6], atol=1e-15)
-
-    def test_eigenvector_relation(self, rng):
-        # Column j solves A v = i * omega_j * v for the real generator A.
-        for _ in range(10):
-            p = random_parameters(rng)
-            a = interaction_hamiltonian(p)
-            eig = lossless_eigensystem(p)
-            for j in range(3):
-                v = eig.states[:, j]
-                residual = a @ v - 1j * eig.frequencies[j] * v
-                assert np.max(np.abs(residual)) < 1e-12
-
-    def test_states_are_orthonormal(self, rng):
-        for _ in range(5):
-            p = random_parameters(rng)
-            states = lossless_eigensystem(p).states
-            gram = states.conj().T @ states
-            assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+            assert np.array_equal(gen.matrix - decay, coupling)
 
 
 class TestConditionalGenerator:
@@ -175,28 +137,6 @@ class TestConditionalGenerator:
         expected = sorted([(10.0 - np.sqrt(92.0)) / 2.0, (10.0 + np.sqrt(92.0)) / 2.0])
         assert np.allclose(sorted(bright.real), expected, rtol=1e-12)
 
-    def test_eigenpairs_satisfy_generator(self, rng):
-        for _ in range(50):
-            p = random_parameters(rng)
-            gen = conditional_generator(p)
-            m = gen.matrix.astype(complex)
-            for j in range(3):
-                v = gen.eigenvectors[:, j]
-                residual = m @ v - gen.eigenvalues[j] * v
-                assert np.max(np.abs(residual)) < 1e-10
-
-    def test_reciprocal_basis_inverts_eigenvectors(self, rng):
-        for _ in range(20):
-            p = random_parameters(rng)
-            gen = conditional_generator(p)
-            # Skip ill-conditioned eigenbases (tiny spectral split S).
-            if gen.reciprocal_basis is None or abs(gen.s_parameter) < 0.05 * p.rate_scale:
-                continue
-            prod = gen.reciprocal_basis @ gen.eigenvectors
-            assert np.max(np.abs(prod - np.eye(3))) < 1e-10
-            completeness = gen.eigenvectors @ gen.reciprocal_basis
-            assert np.max(np.abs(completeness - np.eye(3))) < 1e-10
-
     def test_dark_state_independent_of_loss_rates(self):
         reference = conditional_generator(
             Parameters(g_a=0.7, g_b=1.9, kappa=1.0)
@@ -209,13 +149,12 @@ class TestConditionalGenerator:
                 assert np.array_equal(dark, reference)
 
     def test_defective_spectrum_flagged(self):
-        # 4(g_a^2+g_b^2) = (kappa-gamma)^2 exactly: S = 0, one repeated rate.
-        gen = conditional_generator(Parameters(g_a=1.5, g_b=2.0, kappa=5.0))
-        assert gen.s_parameter == 0.0
-        assert gen.near_degenerate
-        assert gen.reciprocal_basis is None
+        # 4(g_a^2+g_b^2) = (kappa-gamma)^2 exactly: S = 0, one repeated rate,
+        # labelled by the propagator's critical branch.
+        p = Parameters(g_a=1.5, g_b=2.0, kappa=5.0)
+        assert conditional_generator(p).s_parameter == 0.0
+        assert Propagator.from_parameters(p).method == "series"
 
     def test_generic_spectrum_not_flagged(self, fig_params):
-        gen = conditional_generator(fig_params)
-        assert not gen.near_degenerate
-        assert gen.reciprocal_basis is not None
+        assert conditional_generator(fig_params).s_parameter != 0.0
+        assert Propagator.from_parameters(fig_params).method == "spectral"

@@ -1,8 +1,16 @@
+import decimal
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import darkstate_sim
 from conftest import random_parameters
-from oracles import adaptive_simpson, central_difference, expm_taylor
+from oracles import adaptive_simpson, central_difference, expm_decimal, expm_taylor
 from darkstate_sim import (
     NegativeTimeError,
     Parameters,
@@ -40,19 +48,8 @@ class TestPropagatorMatrix:
                 oracle = expm_taylor(-conditional_generator(p).matrix * t).real
                 assert np.max(np.abs(prop.matrix(t) - oracle)) < 1e-11
 
-    def test_spectral_and_series_methods_agree(self):
-        for p in (
-            Parameters(1.0, 1.0, 1.0, 1e-3),
-            Parameters(1.0, 1.0, 10.0, 0.2),  # overdamped
-            Parameters(0.3, 2.2, 4.0, 0.0),
-        ):
-            spectral = Propagator.from_parameters(p, method="spectral")
-            series = Propagator.from_parameters(p, method="series")
-            ts = np.linspace(0.0, 8.0, 33)
-            assert np.max(np.abs(spectral.matrix(ts) - series.matrix(ts))) < 1e-10
-
     def test_defective_generator_uses_series(self):
-        # S = 0 exactly: spectral Lagrange weights blow up, series takes over.
+        # S = 0 exactly: the critical branch, labelled "series".
         p = Parameters(g_a=1.5, g_b=2.0, kappa=5.0)
         prop = Propagator.from_parameters(p)
         assert prop.method == "series"
@@ -77,10 +74,6 @@ class TestPropagatorMatrix:
             prop.matrix(-0.5)
         with pytest.raises(NegativeTimeError):
             conditional_state(fig_params, [0.0, -1.0])
-
-    def test_unknown_method_rejected(self, fig_params):
-        with pytest.raises(ValueError):
-            Propagator.from_parameters(fig_params, method="pade")
 
     def test_scipy_cross_check(self, rng):
         scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -119,9 +112,9 @@ class TestConditionalState:
         assert np.all(np.sum(amps**2, axis=-1) <= 1.0 + 1e-12)
 
     def test_small_phase_branch_matches_oracle(self):
-        # Exercises the series branch of sin(St/2)/S: tiny times for generic
-        # rates, every time for the defective spectrum (S = 0), where the
-        # decay envelope must still be applied.
+        # Tiny times for generic rates, and every time for the defective
+        # spectrum (S = 0), where sin(St/2)/S must tend to t/2 under the
+        # decay envelope.
         basis_state = np.array([0.0, 1.0, 0.0])
         for p in (
             Parameters(1.0, 1.0, 1.0, 1e-3),
@@ -214,8 +207,8 @@ class TestCavityEmissionProbability:
         assert np.all(np.diff(p_cav) >= -1e-12)
 
     def test_defective_split_branch(self):
-        # S = 0 exactly: the closed form must fall back to its small-phase
-        # series and still integrate the cavity rate.
+        # S = 0 exactly: the critical limit of the closed form must still
+        # integrate the cavity rate.
         p = Parameters(g_a=1.5, g_b=2.0, kappa=5.0)
 
         def rate(t):
@@ -265,3 +258,95 @@ class TestEmissionBudget:
         assert quad_a == pytest.approx(frozen_a, abs=1e-9)
         assert quad_b == pytest.approx(frozen_b, abs=1e-9)
         assert frozen_a + frozen_b == pytest.approx(PSPON_AT_50, abs=1e-12)
+
+
+def _decimal_propagator(p: Parameters, t: float):
+    return expm_decimal(-conditional_generator(p).matrix * t)
+
+
+def _decimal_survival(p: Parameters, t: float) -> decimal.Decimal:
+    u = _decimal_propagator(p, t)
+    return sum(u[i][1] ** 2 for i in range(3))
+
+
+def _relative_error(value: float, reference: decimal.Decimal, floor: float = 1e-30) -> float:
+    return float(abs(decimal.Decimal(float(value)) - reference) / max(abs(reference), decimal.Decimal(floor)))
+
+
+class TestDecimalOracle:
+    """Hard regimes against the 50-digit exponential of ``oracles.expm_decimal``."""
+
+    @pytest.mark.parametrize("offset", [2.0**-50, 0.0, -(2.0**-50)])
+    def test_near_critical_matrix(self, offset):
+        # kappa - gamma = 10 (1 + offset) = 2 Omega (1 + offset): just overdamped,
+        # exactly critical, just oscillatory.
+        gamma = 2.0**-10
+        p = Parameters(g_a=3.0, g_b=4.0, kappa=10.0 * (1.0 + offset) + gamma, gamma=gamma)
+        prop = Propagator.from_parameters(p)
+        for t in (0.01, 0.3, 2.0, 20.0):
+            reference = _decimal_propagator(p, t)
+            u = prop.matrix(t)
+            scale = max(abs(x) for row in reference for x in row)
+            error = max(
+                abs(decimal.Decimal(float(u[i, j])) - reference[i][j])
+                for i in range(3)
+                for j in range(3)
+            )
+            assert float(error / scale) <= 1e-13
+
+    def test_bad_cavity_survival(self):
+        # kappa / Omega = 7e5: the slow bright rate (kappa gamma + Omega^2) /
+        # lambda_+ would lose digits if taken as the difference (a - sigma)/2.
+        p = Parameters(g_a=1.0, g_b=1.0, kappa=1e6, gamma=1e-3)
+        reference = _decimal_survival(p, 1e3)
+        prop = Propagator.from_parameters(p)
+        assert _relative_error(no_emission_probability(prop, 1e3), reference) <= 1e-11
+        assert _relative_error(emission_probabilities(p, 1e3).p0, reference) <= 1e-11
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        log_ratio=st.floats(-3.0, 8.0),
+        g_a=st.floats(0.3, 3.0),
+        g_b=st.floats(0.3, 3.0),
+        off=st.sampled_from(["none", "g_a", "g_b"]),
+        log_gamma=st.one_of(st.none(), st.floats(-4.0, -1.0)),
+    )
+    def test_stiffness_sweep(self, log_ratio, g_a, g_b, off, log_gamma):
+        # kappa / Omega from 1e-3 (good cavity) to 1e8 (bad cavity), with
+        # lossless atoms (gamma = 0) and one coupling switched off.
+        g_a, g_b = (0.0 if off == "g_a" else g_a), (0.0 if off == "g_b" else g_b)
+        omega = float(np.hypot(g_a, g_b))
+        gamma = 0.0 if log_gamma is None else omega * 10.0**log_gamma
+        p = Parameters(g_a=g_a, g_b=g_b, kappa=omega * 10.0**log_ratio, gamma=gamma)
+        # The MC horizon, or for lossless atoms 50 times the slower of the
+        # cavity time 1/kappa and the bad-cavity bright lifetime kappa/Omega^2.
+        horizon = 15.0 / gamma if gamma > 0.0 else 50.0 * max(1.0 / p.kappa, p.kappa / omega**2)
+        ts = np.concatenate(([0.0], np.geomspace(1e-6 * horizon, horizon, 32)))
+        triple = emission_probabilities(p, ts)
+        assert np.max(np.abs(triple.p0 + triple.p_cav + triple.p_spon - 1.0)) < 1e-10
+        assert np.all(np.diff(triple.p0) <= 1e-12)
+        for i in (8, 16, 24, 32):
+            assert _relative_error(triple.p0[i], _decimal_survival(p, ts[i])) <= 1e-11
+
+
+def test_range_violation_raises_under_optimize():
+    # The check must not be an assert, which python -O strips.
+    src = os.path.dirname(os.path.dirname(darkstate_sim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from darkstate_sim import ProbabilityRangeError\n"
+        "from darkstate_sim.propagator import _clipped_probability\n"
+        "try:\n"
+        "    _clipped_probability(1.5)\n"
+        "except ProbabilityRangeError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: probability out of range by 0.5")
