@@ -105,7 +105,7 @@ def cmd_amplitudes(args) -> int:
     params = _parameters(args)
     grid = _grid_from_zero(args)
     populations = conditional_state(params, grid) ** 2
-    rows = ((t, *populations[i]) for i, t in enumerate(grid))
+    rows = zip(grid, *populations.T)
     with _output_stream(args.out) as stream:
         _write_table(stream, ["t", "P_100", "P_010", "P_001"], rows)
     return 0
@@ -124,12 +124,9 @@ def cmd_probabilities(args) -> int:
 def cmd_fidelity(args) -> int:
     params = _parameters(args)
     grid = _grid_post_transient(args, params.kappa)
-    columns = []
-    for eta in args.eta:
-        lams = [mixture_asymptotic(params, t, eta=eta).lam for t in grid]
-        columns.append(lams)
+    columns = [mixture_asymptotic(params, grid, eta=eta).lam for eta in args.eta]
     header = ["t"] + [f"F_eta{eta:g}" for eta in args.eta]
-    rows = ((t, *(col[i] for col in columns)) for i, t in enumerate(grid))
+    rows = zip(grid, *columns)
     with _output_stream(args.out) as stream:
         _write_table(stream, header, rows)
     return 0
@@ -138,10 +135,8 @@ def cmd_fidelity(args) -> int:
 def cmd_entropy(args) -> int:
     params = _parameters(args)
     grid = _grid_post_transient(args, params.kappa)
-    rows = (
-        (t, relative_entropy_of_entanglement(mixture_asymptotic(params, t, eta=args.eta)))
-        for t in grid
-    )
+    entropy = relative_entropy_of_entanglement(mixture_asymptotic(params, grid, eta=args.eta))
+    rows = zip(grid, entropy)
     with _output_stream(args.out) as stream:
         _write_table(stream, ["t", "E"], rows)
     return 0

@@ -8,9 +8,11 @@ the conditioning.  The relative entropy of entanglement of that mixture is
 
     E(lam) = (lam - 2) log2(1 - lam/2) + (1 - lam) log2(1 - lam),
 
-increasing from E(0) = 0 to E(1) = 1.  A repump-and-wait cycle removes the
-ground-state admixture: each no-click round maps lam to
-lam / (lam + (1 - lam)(1 - p)) at click probability (1 - lam) p.
+increasing from E(0) = 0 to E(1) = 1.  The mixture and E accept a scalar or
+an array of times (or weights): scalars give floats, arrays give arrays of
+the same shape, element for element equal to the scalar calls.  A
+repump-and-wait cycle removes the ground-state admixture: each no-click round
+maps lam to lam / (lam + (1 - lam)(1 - p)) at click probability (1 - lam) p.
 """
 
 from __future__ import annotations
@@ -27,18 +29,17 @@ from .propagator import (
     no_emission_probability_asymptotic,
 )
 
-_LOG_FLOOR = 1e-300
-
 
 @dataclasses.dataclass(frozen=True)
 class ConditionedMixture:
-    """No-click conditioned two-atom state: dark-pair weight lam at time t."""
+    """No-click conditioned two-atom state: dark-pair weight(s) lam at time(s) t."""
 
-    lam: float
-    t: float
+    lam: float | np.ndarray
+    t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
+        lam = np.asarray(self.lam, dtype=float)
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):  # also rejects NaN
             raise ValueError(f"mixture weight must be in [0, 1], got {self.lam!r}")
 
 
@@ -51,15 +52,21 @@ def _resolve_eta(params: Parameters, eta: float | None) -> float:
     return eta
 
 
-def mixture_at(params: Parameters, t: float, eta: float | None = None) -> ConditionedMixture:
-    """Conditioned mixture from the exact emission budget at time t."""
+def _mixture(lam, t) -> ConditionedMixture:
+    lam = np.clip(lam, 0.0, 1.0)
+    if lam.ndim == 0:
+        return ConditionedMixture(lam=float(lam), t=float(t))
+    return ConditionedMixture(lam=lam, t=np.asarray(t, dtype=float))
+
+
+def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
+    """Conditioned mixture from the exact emission budget at time(s) t."""
     eta = _resolve_eta(params, eta)
-    triple = emission_probabilities(params, float(t))
-    lam = triple.p0 / (1.0 - eta * triple.p_cav)
-    return ConditionedMixture(lam=float(np.clip(lam, 0.0, 1.0)), t=float(t))
+    triple = emission_probabilities(params, t)
+    return _mixture(triple.p0 / (1.0 - eta * triple.p_cav), triple.t)
 
 
-def mixture_asymptotic(params: Parameters, t: float, eta: float | None = None) -> ConditionedMixture:
+def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
     """Conditioned mixture in the post-transient regime (t >> 1/(kappa+gamma)).
 
     Uses the asymptotic survival weight together with the saturated cavity
@@ -67,27 +74,26 @@ def mixture_asymptotic(params: Parameters, t: float, eta: float | None = None) -
     and only the slow spontaneous envelope evolves.
     """
     eta = _resolve_eta(params, eta)
-    t = float(t)
-    p0 = float(no_emission_probability_asymptotic(params, t))
-    lam = p0 / (1.0 - eta * cavity_emission_saturation(params))
-    return ConditionedMixture(lam=float(np.clip(lam, 0.0, 1.0)), t=t)
+    p0 = no_emission_probability_asymptotic(params, t)
+    return _mixture(p0 / (1.0 - eta * cavity_emission_saturation(params)), t)
 
 
-def fidelity(mixture: ConditionedMixture) -> float:
+def fidelity(mixture: ConditionedMixture):
     """Overlap of the mixture with the maximally entangled dark pair (= lam)."""
     return mixture.lam
 
 
-def relative_entropy_of_entanglement(mixture: ConditionedMixture) -> float:
-    """E(lam) = (lam - 2) log2(1 - lam/2) + (1 - lam) log2(1 - lam), in bits."""
-    lam = mixture.lam
-    if lam == 0.0:
-        return 0.0
-    if lam == 1.0:
-        return 1.0
-    first = (lam - 2.0) * math.log2(max(1.0 - 0.5 * lam, _LOG_FLOOR))
-    second = (1.0 - lam) * math.log2(max(1.0 - lam, _LOG_FLOOR))
-    return first + second
+def relative_entropy_of_entanglement(mixture: ConditionedMixture):
+    """E(lam) = (lam - 2) log2(1 - lam/2) + (1 - lam) log2(1 - lam), in bits.
+
+    With 0 log 0 = 0 the formula gives E(0) = 0 and E(1) = 1 exactly.
+    """
+    lam = np.asarray(mixture.lam, dtype=float)
+    first = (lam - 2.0) * np.log2(1.0 - 0.5 * lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0)
+    out = first + second
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclasses.dataclass(frozen=True)

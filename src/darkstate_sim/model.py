@@ -24,8 +24,8 @@ state (g_a|001> - g_b|010>)/sqrt(g_a^2+g_b^2), which never populates the
 cavity and is immune to cavity loss; the two remaining eigenvalues are
 (kappa + gamma +/- i S)/2 with S^2 = 4(g_a^2+g_b^2) - (kappa-gamma)^2.
 S is real in the oscillatory regime, zero at the critical point (where M is
-defective) and imaginary when the cavity is overdamped.  The propagator never
-forms these eigenvalues: it works with the real S^2 and the dark projector
+defective) and imaginary when the cavity is overdamped.  Nothing forms these
+eigenvalues: the propagator works with the real S^2 and the dark projector
 (see ``propagator``).
 """
 
@@ -140,6 +140,20 @@ def _split_squared(params: Parameters) -> float:
     return 4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2
 
 
+def _emission_rates(params: Parameters, weights: np.ndarray):
+    """Channel rates (cavity, spontaneous a, spontaneous b) from the weights |c|^2.
+
+    2 kappa |c_100|^2, 2 gamma |c_010|^2 and 2 gamma |c_001|^2, each of shape
+    weights.shape[:-1].  Their sum is -d|psi|^2/dt for any state psi, because
+    M + M^T = 2 diag(kappa, gamma, gamma).
+    """
+    return (
+        2.0 * params.kappa * weights[..., 0],
+        2.0 * params.gamma * weights[..., 1],
+        2.0 * params.gamma * weights[..., 2],
+    )
+
+
 def _generator_matrix(params: Parameters) -> np.ndarray:
     """The real 3x3 generator M of the no-detection evolution exp(-M t)."""
     g_a, g_b = params.g_a, params.g_b
@@ -154,7 +168,7 @@ def _generator_matrix(params: Parameters) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ConditionalGenerator:
-    """The no-detection generator M together with its closed-form spectrum.
+    """The no-detection generator M together with its dark state.
 
     Attributes
     ----------
@@ -162,49 +176,28 @@ class ConditionalGenerator:
         Rates the generator was built from.
     matrix : ndarray
         The real 3x3 generator M (amplitudes evolve as exp(-M t)).
-    eigenvalues : ndarray
-        (gamma, (kappa+gamma+iS)/2, (kappa+gamma-iS)/2), dark value first.
-    s_parameter : complex
-        S = sqrt(4(g_a^2+g_b^2) - (kappa-gamma)^2); real in the oscillatory
-        regime, purely imaginary when overdamped.
     dark_state : StateVector
-        Eigenvector of the dark eigenvalue; independent of kappa and gamma,
-        with its largest component real and positive.
+        Eigenvector of the dark eigenvalue gamma; independent of kappa and
+        gamma, with its largest component real and positive.
     """
 
     params: Parameters
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    s_parameter: complex
     dark_state: StateVector
 
 
 def conditional_generator(params: Parameters) -> ConditionalGenerator:
-    """Build M and its closed-form eigensystem for the given rates.
+    """Build M and its dark state for the given rates.
 
-    The dark eigenvector equals the lossless one (it decouples from the
-    cavity, so loss rates only shift its eigenvalue to gamma), while the two
-    bright eigenvalues acquire the mean decay (kappa+gamma)/2 and split by
-    +/- iS/2.
+    The dark eigenvector equals the lossless one: it decouples from the
+    cavity, so loss rates only shift its eigenvalue to gamma.
     """
     _require_coupling(params)
     g_a, g_b = params.g_a, params.g_b
-    s_parameter = complex(np.sqrt(complex(_split_squared(params))))
-    mean_decay = params.kappa + params.gamma
-    eigenvalues = np.array(
-        [
-            params.gamma,
-            (mean_decay + 1j * s_parameter) / 2.0,
-            (mean_decay - 1j * s_parameter) / 2.0,
-        ],
-        dtype=complex,
-    )
     sign = 1.0 if g_b >= g_a else -1.0
     dark = sign * np.array([0.0, g_b, -g_a]) / math.sqrt(params.coupling_squared)
     return ConditionalGenerator(
         params=params,
         matrix=_generator_matrix(params),
-        eigenvalues=eigenvalues,
-        s_parameter=s_parameter,
         dark_state=StateVector(dark),
     )

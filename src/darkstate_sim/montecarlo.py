@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import EmptyGridError, InvalidUniformError, NegativeTimeError, ZeroRateError
-from .model import Parameters, StateVector, initial_state
+from .model import Parameters, StateVector, _emission_rates
 from .propagator import Propagator, conditional_state
 
 # Start table of P0: t = 0 plus log-spaced times from 1e-9 * horizon to the
@@ -175,10 +175,10 @@ def _newton_step(params, weights, log_u, lo, hi, t, step, step_old, active) -> b
     Its temporaries are freed on return, so they never coexist with those of
     the next kernel evaluation.
     """
-    # P0 = |psi|^2, and w1 = -dP0/dt = 2 kappa |c_100|^2 + 2 gamma (|c_010|^2 +
-    # |c_001|^2) for any state, because M + M^T = 2 diag(kappa, gamma, gamma).
+    # P0 = |psi|^2, and w1 = -dP0/dt is the sum of the channel rates.
     p0 = np.sum(weights, axis=-1)
-    w1 = 2.0 * (params.kappa * weights[:, 0] + params.gamma * (weights[:, 1] + weights[:, 2]))
+    w_cav, w_a, w_b = _emission_rates(params, weights)
+    w1 = w_cav + w_a + w_b
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = np.log(p0) - log_u
         newton = residual * p0 / w1  # -f/f' for f = log P0 - log u
@@ -234,12 +234,10 @@ def _classify(params, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Thresholds are cumulative in the fixed order CAVITY, SPON_A, SPON_B:
     v < w_cav/w1 selects CAVITY, v < (w_cav+w_a)/w1 selects SPON_A, and
-    SPON_B otherwise, with the rates w_cav = 2 kappa |c_100|^2 and
-    w_a, w_b = 2 gamma |c_010|^2, 2 gamma |c_001|^2 summing to w1.
+    SPON_B otherwise, with the channel rates w_cav, w_a, w_b of
+    ``model._emission_rates`` summing to w1.
     """
-    w_cav = 2.0 * params.kappa * weights[:, 0]
-    w_a = 2.0 * params.gamma * weights[:, 1]
-    w_b = 2.0 * params.gamma * weights[:, 2]
+    w_cav, w_a, w_b = _emission_rates(params, weights)
     total = w_cav + w_a + w_b
     if np.any(total <= 0.0):
         raise ZeroRateError("total emission rate vanishes at the jump state")

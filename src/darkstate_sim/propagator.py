@@ -18,7 +18,9 @@ decays when it is overdamped (S^2 < 0).  There the slow rate is taken from
 the product lambda_+ lambda_- = kappa gamma + Omega^2, not from the difference
 (a - sqrt(-S^2))/2, which cancels in a bad cavity (kappa >> Omega).  The
 conditional state grown from |010> is column 1 of U(t), and the cavity
-emission probability is a closed form in the same three factors.
+emission probability is a closed form in the same three factors;
+``emission_probabilities`` evaluates both from one set of factors, and the
+single-quantity functions are views of it.
 
 All time-dependent quantities accept scalar or array times.  Probabilities
 are clipped to [0, 1]; a violation beyond round-off raises
@@ -37,11 +39,11 @@ from .model import (
     ConditionalGenerator,
     Parameters,
     StateVector,
+    _emission_rates,
     _generator_matrix,
     _require_coupling,
     _split_squared,
     conditional_generator,
-    initial_state,
 )
 
 _PROB_TOL = 1e-10
@@ -102,13 +104,13 @@ def _projectors(params: Parameters) -> np.ndarray:
     return np.stack([np.outer(dark, dark), plane, sine])
 
 
-def _propagate(params: Parameters, times: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """e0 D + c P + s Q from the rows of ``_projectors`` (or their columns).
+def _propagate(params: Parameters, factors, basis: np.ndarray) -> np.ndarray:
+    """e0 D + c P + s Q from (e0, c, s) and the rows of ``_projectors`` (or columns).
 
     Elementwise, not a matrix product, so that each time's result does not
     depend on how many times are evaluated together.
     """
-    e0, cos_factor, sin_factor = _split_factors(params, times)
+    e0, cos_factor, sin_factor = factors
     total = (
         np.multiply.outer(e0, basis[0])
         + np.multiply.outer(cos_factor, basis[1])
@@ -141,7 +143,8 @@ class Propagator:
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        return _propagate(self.generator.params, _check_times(t), self._basis)
+        params = self.generator.params
+        return _propagate(params, _split_factors(params, _check_times(t)), self._basis)
 
     def apply(self, state, t) -> np.ndarray:
         """Amplitudes of U(t) applied to ``state`` (StateVector or length-3)."""
@@ -168,16 +171,12 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     precessing with S/2 (or at the two real bright rates when overdamped).
     Returns real amplitudes of shape t.shape + (3,).
     """
-    return _propagate(params, _check_times(t), _projectors(params)[:, :, 1])
+    return _propagate(params, _split_factors(params, _check_times(t)), _projectors(params)[:, :, 1])
 
 
 def no_emission_probability(prop: Propagator, t):
-    """P0(t): probability that no photon has been emitted by time t.
-
-    Computed as the squared norm of the conditionally propagated initial
-    state |010>.
-    """
-    return _clipped_probability(prop.survival(initial_state(), t))
+    """P0(t): probability that no photon has been emitted by time t."""
+    return emission_probabilities(prop.generator.params, t).p0
 
 
 def no_emission_probability_asymptotic(params: Parameters, t):
@@ -191,20 +190,16 @@ def no_emission_probability_asymptotic(params: Parameters, t):
     return _clipped_probability(weight * np.exp(-2.0 * params.gamma * times))
 
 
-def first_emission_density(prop: Propagator, t) -> float:
+def first_emission_density(prop: Propagator, t):
     """Waiting-time density w1(t) for the first emission from |010>.
 
-    Sum of the channel rates on the conditional state: 2 kappa |c_100|^2 for
-    the cavity port plus 2 gamma (|c_010|^2 + |c_001|^2) for spontaneous
-    emission; equals -dP0/dt.
+    Sum of the channel rates (``model._emission_rates``) on the conditional
+    state; equals -dP0/dt.
     """
     params = prop.generator.params
-    amps = prop.apply(initial_state(), float(t))
-    weights = np.abs(amps) ** 2
-    return float(
-        2.0 * params.kappa * weights[..., 0]
-        + 2.0 * params.gamma * (weights[..., 1] + weights[..., 2])
-    )
+    w_cav, w_a, w_b = _emission_rates(params, conditional_state(params, t) ** 2)
+    out = w_cav + w_a + w_b
+    return float(out) if out.ndim == 0 else out
 
 
 def cavity_emission_saturation(params: Parameters) -> float:
@@ -222,27 +217,8 @@ def cavity_emission_saturation(params: Parameters) -> float:
 
 
 def cavity_emission_probability(params: Parameters, t):
-    """P_cav(t): probability of a mirror emission by time t.
-
-    Time integral of the cavity rate 2 kappa |c_100(t')|^2, in closed form.
-    Writing a = kappa+gamma, the bracket multiplying the saturation value is
-
-        1 - e^{-a t} [ 1 + a^2 (1-cos(S t))/S^2 + a sin(S t)/S ]
-          = 1 - e^{-a t} - 2 a s (a s + c)
-
-    in the factors c, s of ``_split_factors``, which keeps it real and
-    overflow-free in every regime.
-    """
-    _require_coupling(params)
-    times = _check_times(t)
-    mean_decay = params.kappa + params.gamma
-    _, cos_factor, sin_factor = _split_factors(params, times)
-    bracket = (
-        1.0
-        - np.exp(-mean_decay * times)
-        - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
-    )
-    return _clipped_probability(cavity_emission_saturation(params) * bracket)
+    """P_cav(t): probability of a mirror emission by time t."""
+    return emission_probabilities(params, t).p_cav
 
 
 def spontaneous_emission_probability_asymptotic(params: Parameters, t):
@@ -273,17 +249,33 @@ class ProbabilityTriple:
 def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     """The exhaustive probability split (P0, P_cav, P_spon) at time(s) t.
 
-    P_spon is the complement 1 - P0 - P_cav, so the triple sums to one by
-    construction.  Accepts a scalar or an array of times.
+    P0 is the squared norm of the conditional state.  P_cav is the time
+    integral of the cavity rate 2 kappa |c_100(t')|^2; writing a = kappa+gamma,
+    the bracket multiplying the saturation value is
+
+        1 - e^{-a t} [ 1 + a^2 (1-cos(S t))/S^2 + a sin(S t)/S ]
+          = 1 - e^{-a t} - 2 a s (a s + c)
+
+    in the factors c, s of ``_split_factors``, which keeps it real and
+    overflow-free in every regime.  P_spon is the complement 1 - P0 - P_cav,
+    so the triple sums to one by construction.  Accepts a scalar or an array
+    of times.
     """
     times = _check_times(t)
-    amps = conditional_state(params, times)
+    factors = _split_factors(params, times)
+    _, cos_factor, sin_factor = factors
+    mean_decay = params.kappa + params.gamma
+    amps = _propagate(params, factors, _projectors(params)[:, :, 1])
     p0 = _clipped_probability(np.sum(amps**2, axis=-1))
-    p_cav = cavity_emission_probability(params, times)
+    bracket = (
+        1.0
+        - np.exp(-mean_decay * times)
+        - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
+    )
+    p_cav = _clipped_probability(cavity_emission_saturation(params) * bracket)
     p_spon = _clipped_probability(1.0 - p0 - p_cav)
-    scalar = np.ndim(times) == 0
     return ProbabilityTriple(
-        t=float(times) if scalar else times,
+        t=float(times) if times.ndim == 0 else times,
         p0=p0,
         p_cav=p_cav,
         p_spon=p_spon,

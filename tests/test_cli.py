@@ -7,16 +7,33 @@ import numpy as np
 import pytest
 
 import darkstate_sim
-from darkstate_sim import Parameters, emission_probabilities
+from darkstate_sim import (
+    Parameters,
+    emission_probabilities,
+    mixture_asymptotic,
+    relative_entropy_of_entanglement,
+)
 from darkstate_sim.cli import main
 
 SATURATION = 0.4992508740634678
+
+# A non-default parameter set for the table-versus-scalar checks.
+RATE_FLAGS = ["--ga", "0.7", "--gb", "2.1", "--kappa", "9.3", "--gamma", "0.004"]
+RATE_PARAMS = Parameters(g_a=0.7, g_b=2.1, kappa=9.3, gamma=0.004)
 
 
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cells(text):
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
+def _post_transient_grid(tmax, steps=500):
+    return np.linspace(5.0 / RATE_PARAMS.kappa, tmax, steps)
 
 
 def _parse_csv(text):
@@ -102,6 +119,19 @@ class TestFidelityCommand:
         header, _ = _parse_csv(out)
         assert header == ["t", "F_eta0.5"]
 
+    def test_table_matches_scalar_calls(self, capsys):
+        etas = (1.0, 0.63, 0.2)
+        code, out, _ = _run(
+            capsys, ["fidelity", *RATE_FLAGS, "--tmax", "800", "--eta", *map(str, etas)]
+        )
+        assert code == 0
+        expected = [
+            [format(float(t), ".12g")]
+            + [format(mixture_asymptotic(RATE_PARAMS, float(t), eta=eta).lam, ".12g") for eta in etas]
+            for t in _post_transient_grid(800.0)
+        ]
+        assert _cells(out) == expected
+
 
 class TestEntropyCommand:
     def test_header_and_range(self, capsys):
@@ -112,6 +142,23 @@ class TestEntropyCommand:
         assert rows[0, 1] > 0.9
         assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
         assert np.all(np.diff(rows[:, 1]) < 0.0)
+
+    def test_table_matches_scalar_calls(self, capsys):
+        code, out, _ = _run(capsys, ["entropy", *RATE_FLAGS, "--tmax", "800", "--eta", "0.71"])
+        assert code == 0
+        expected = [
+            [
+                format(float(t), ".12g"),
+                format(
+                    relative_entropy_of_entanglement(
+                        mixture_asymptotic(RATE_PARAMS, float(t), eta=0.71)
+                    ),
+                    ".12g",
+                ),
+            ]
+            for t in _post_transient_grid(800.0)
+        ]
+        assert _cells(out) == expected
 
 
 class TestTrajectoriesCommand:

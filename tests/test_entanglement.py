@@ -3,6 +3,7 @@ import pytest
 
 from darkstate_sim import (
     ConditionedMixture,
+    NegativeTimeError,
     Parameters,
     fidelity,
     mixture_asymptotic,
@@ -81,6 +82,55 @@ class TestEntropy:
         for lam in np.linspace(0.0, 1.0, 101):
             value = relative_entropy_of_entanglement(ConditionedMixture(float(lam), 0.0))
             assert 0.0 <= value <= 1.0
+
+
+class TestArrayPaths:
+    """Array calls equal the per-point scalar calls bit for bit."""
+
+    def test_mixture_at(self, fig_params):
+        ts = np.linspace(0.0, 60.0, 200)
+        mix = mixture_at(fig_params, ts, eta=0.8)
+        assert np.array_equal(mix.t, ts)
+        assert np.array_equal(mix.lam, [mixture_at(fig_params, float(t), eta=0.8).lam for t in ts])
+        scalar = mixture_at(fig_params, 3.0, eta=0.8)
+        assert isinstance(scalar.lam, float) and isinstance(scalar.t, float)
+
+    def test_mixture_asymptotic(self, fig_params):
+        ts = np.linspace(5.0, 500.0, 200)
+        mix = mixture_asymptotic(fig_params, ts, eta=0.8)
+        assert np.array_equal(mix.t, ts)
+        assert np.array_equal(
+            mix.lam, [mixture_asymptotic(fig_params, float(t), eta=0.8).lam for t in ts]
+        )
+        assert isinstance(mixture_asymptotic(fig_params, 5.0).lam, float)
+
+    def test_entropy(self):
+        lams = np.linspace(0.0, 1.0, 200)
+        values = relative_entropy_of_entanglement(ConditionedMixture(lams, 0.0))
+        expected = [
+            relative_entropy_of_entanglement(ConditionedMixture(float(lam), 0.0)) for lam in lams
+        ]
+        assert np.array_equal(values, expected)
+        assert isinstance(expected[1], float)
+
+    def test_entropy_endpoints_exact(self):
+        values = relative_entropy_of_entanglement(ConditionedMixture(np.array([0.0, 1.0]), 0.0))
+        assert np.array_equal(values, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.2, -0.1])
+    def test_one_bad_element_rejected(self, bad):
+        lams = np.linspace(0.0, 1.0, 11)
+        lams[4] = bad
+        with pytest.raises(ValueError):
+            ConditionedMixture(lam=lams, t=np.zeros(11))
+
+    def test_one_negative_time_rejected(self, fig_params):
+        ts = np.linspace(0.0, 10.0, 5)
+        ts[2] = -1.0
+        with pytest.raises(NegativeTimeError):
+            mixture_at(fig_params, ts)
+        with pytest.raises(NegativeTimeError):
+            mixture_asymptotic(fig_params, ts)
 
 
 class TestRepump:

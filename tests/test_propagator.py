@@ -22,6 +22,7 @@ from darkstate_sim import (
     emission_probabilities,
     first_emission_density,
     initial_state,
+    mixture_at,
     no_emission_probability,
     no_emission_probability_asymptotic,
     spontaneous_emission_probability_asymptotic,
@@ -172,6 +173,16 @@ class TestFirstEmissionDensity:
             slope = -central_difference(p0, float(t), 1.5e-4)
             assert density == pytest.approx(slope, rel=1e-5)
 
+    def test_array_times(self, fig_params):
+        prop = Propagator.from_parameters(fig_params)
+        ts = np.linspace(0.01, 15.0, 40)
+        density = first_emission_density(prop, ts)
+        assert density.shape == ts.shape
+        assert isinstance(first_emission_density(prop, 0.5), float)
+        assert np.array_equal(density, [first_emission_density(prop, float(t)) for t in ts])
+        slope = -central_difference(lambda t: no_emission_probability(prop, t), ts, 1.5e-4)
+        np.testing.assert_allclose(density, slope, rtol=1e-5, atol=0.0)
+
 
 class TestCavityEmissionProbability:
     def test_zero_at_time_zero(self, fig_params):
@@ -303,29 +314,41 @@ class TestDecimalOracle:
         assert _relative_error(no_emission_probability(prop, 1e3), reference) <= 1e-11
         assert _relative_error(emission_probabilities(p, 1e3).p0, reference) <= 1e-11
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         log_ratio=st.floats(-3.0, 8.0),
+        critical=st.sampled_from([None, -1, 0, 1]),
         g_a=st.floats(0.3, 3.0),
         g_b=st.floats(0.3, 3.0),
         off=st.sampled_from(["none", "g_a", "g_b"]),
         log_gamma=st.one_of(st.none(), st.floats(-4.0, -1.0)),
+        eta=st.floats(0.0, 1.0),
     )
-    def test_stiffness_sweep(self, log_ratio, g_a, g_b, off, log_gamma):
-        # kappa / Omega from 1e-3 (good cavity) to 1e8 (bad cavity), with
-        # lossless atoms (gamma = 0) and one coupling switched off.
+    def test_stiffness_sweep(self, log_ratio, critical, g_a, g_b, off, log_gamma, eta):
+        # kappa / Omega from 1e-3 (good cavity) to 1e8 (bad cavity), or
+        # kappa - gamma = 2 Omega (1 + critical 2^-40) at and around the
+        # critical point S = 0, with lossless atoms (gamma = 0) and one
+        # coupling switched off.
         g_a, g_b = (0.0 if off == "g_a" else g_a), (0.0 if off == "g_b" else g_b)
         omega = float(np.hypot(g_a, g_b))
         gamma = 0.0 if log_gamma is None else omega * 10.0**log_gamma
-        p = Parameters(g_a=g_a, g_b=g_b, kappa=omega * 10.0**log_ratio, gamma=gamma)
+        if critical is None:
+            kappa = omega * 10.0**log_ratio
+        else:
+            kappa = gamma + 2.0 * omega * (1.0 + critical * 2.0**-40)
+        p = Parameters(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma)
         # The MC horizon, or for lossless atoms 50 times the slower of the
-        # cavity time 1/kappa and the bad-cavity bright lifetime kappa/Omega^2.
+        # cavity time 1/kappa and the bad-cavity bright lifetime kappa/Omega^2;
+        # the last time is twice the horizon.
         horizon = 15.0 / gamma if gamma > 0.0 else 50.0 * max(1.0 / p.kappa, p.kappa / omega**2)
-        ts = np.concatenate(([0.0], np.geomspace(1e-6 * horizon, horizon, 32)))
+        ts = np.concatenate(([0.0], np.geomspace(1e-6 * horizon, horizon, 32), [2.0 * horizon]))
         triple = emission_probabilities(p, ts)
         assert np.max(np.abs(triple.p0 + triple.p_cav + triple.p_spon - 1.0)) < 1e-10
         assert np.all(np.diff(triple.p0) <= 1e-12)
-        for i in (8, 16, 24, 32):
+        assert np.all(triple.p_cav <= cavity_emission_saturation(p))
+        lam = mixture_at(p, ts, eta).lam
+        assert np.all((lam >= 0.0) & (lam <= 1.0))
+        for i in (8, 16, 24, 32, 33):
             assert _relative_error(triple.p0[i], _decimal_survival(p, ts[i])) <= 1e-11
 
 
