@@ -21,6 +21,7 @@ from .errors import (
     NegativeTimeError,
     ProbabilityRangeError,
     SimulationError,
+    ZeroProbabilityConditionError,
     ZeroRateError,
 )
 from .model import (
@@ -81,6 +82,7 @@ __all__ = [
     "SimulationError",
     "StateVector",
     "TrajectoryOutcome",
+    "ZeroProbabilityConditionError",
     "ZeroRateError",
     "cavity_emission_probability",
     "cavity_emission_saturation",

@@ -13,6 +13,9 @@ an array of times (or weights): scalars give floats, arrays give arrays of
 the same shape, element for element equal to the scalar calls.  A
 repump-and-wait cycle removes the ground-state admixture: each no-click round
 maps lam to lam / (lam + (1 - lam)(1 - p)) at click probability (1 - lam) p.
+
+Where no click has probability zero (gamma = 0, g_b = 0, eta = 1), there is
+nothing to condition on, and the mixture raises ZeroProbabilityConditionError.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 
 import numpy as np
 
+from .errors import ZeroProbabilityConditionError
 from .model import Parameters
 from .propagator import (
     cavity_emission_saturation,
@@ -52,8 +56,15 @@ def _resolve_eta(params: Parameters, eta: float | None) -> float:
     return eta
 
 
-def _mixture(lam, t) -> ConditionedMixture:
-    lam = np.clip(lam, 0.0, 1.0)
+def _mixture(p0, p_cav, eta: float, t) -> ConditionedMixture:
+    """The mixture of weight lam = P0 / (1 - eta P_cav), the no-click probability."""
+    no_click = 1.0 - eta * np.asarray(p_cav)
+    if np.any(no_click <= 0.0):
+        raise ZeroProbabilityConditionError(
+            "no click has probability zero (as at gamma = 0, g_b = 0, eta = 1): "
+            "the conditioned state is undefined"
+        )
+    lam = np.clip(p0 / no_click, 0.0, 1.0)
     if lam.ndim == 0:
         return ConditionedMixture(lam=float(lam), t=float(t))
     return ConditionedMixture(lam=lam, t=np.asarray(t, dtype=float))
@@ -63,7 +74,7 @@ def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMi
     """Conditioned mixture from the exact emission budget at time(s) t."""
     eta = _resolve_eta(params, eta)
     triple = emission_probabilities(params, t)
-    return _mixture(triple.p0 / (1.0 - eta * triple.p_cav), triple.t)
+    return _mixture(triple.p0, triple.p_cav, eta, triple.t)
 
 
 def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
@@ -75,7 +86,7 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
     """
     eta = _resolve_eta(params, eta)
     p0 = no_emission_probability_asymptotic(params, t)
-    return _mixture(p0 / (1.0 - eta * cavity_emission_saturation(params)), t)
+    return _mixture(p0, cavity_emission_saturation(params), eta, t)
 
 
 def fidelity(mixture: ConditionedMixture):

@@ -27,3 +27,11 @@ class EmptyGridError(SimulationError):
 
 class ProbabilityRangeError(SimulationError):
     """A computed probability left [0, 1] by more than round-off."""
+
+
+class ZeroProbabilityConditionError(SimulationError):
+    """The no-click event conditioned on has probability zero.
+
+    At gamma = 0, g_b = 0 and eta = 1 every trajectory ends in a detected
+    cavity photon, so no atomic state is left to condition on.
+    """

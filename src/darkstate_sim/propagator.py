@@ -20,7 +20,9 @@ the product lambda_+ lambda_- = kappa gamma + Omega^2, not from the difference
 conditional state grown from |010> is column 1 of U(t), and the cavity
 emission probability is a closed form in the same three factors;
 ``emission_probabilities`` evaluates both from one set of factors, and the
-single-quantity functions are views of it.
+single-quantity functions are views of it.  ``_survival_kernel`` gives P0
+and its rate w1 = -dP0/dt from the factors alone, without the amplitudes,
+for the Monte Carlo root finder.
 
 All time-dependent quantities accept scalar or array times.  Probabilities
 are clipped to [0, 1]; a violation beyond round-off raises
@@ -117,6 +119,33 @@ def _propagate(params: Parameters, factors, basis: np.ndarray) -> np.ndarray:
         + np.multiply.outer(sin_factor, basis[2])
     )
     return total / params.coupling_squared
+
+
+def _survival_kernel(params: Parameters):
+    """The (P0, w1) pair at an array of times, for the state grown from |010>.
+
+    With f = (e0, c, s), the state is B^T f / Omega^2, B holding column 1 of
+    each of Omega^2 (D, P, Q), so P0 = f^T G f / Omega^4 with the Gram matrix
+    G = B B^T, formed here once.  D and P have no (0, 1) entry, so the cavity
+    amplitude is c_100 = -2 g_a s, and with x = 4 g_a^2 s^2 the total rate
+    w1 = -dP0/dt is 2 kappa x + 2 gamma (P0 - x).  Neither the amplitudes nor
+    their weights are formed, and the evaluation is elementwise, so a time's
+    result does not depend on how many times are evaluated together.
+    """
+    basis = _projectors(params)[:, :, 1]
+    gram = basis @ basis.T / params.coupling_squared**2
+    g_ee, g_ec, g_es = gram[0, 0], 2.0 * gram[0, 1], 2.0 * gram[0, 2]
+    g_cc, g_cs, g_ss = gram[1, 1], 2.0 * gram[1, 2], gram[2, 2]
+    cavity_sq = 4.0 * params.g_a**2
+    kappa2, gamma2 = 2.0 * params.kappa, 2.0 * params.gamma
+
+    def kernel(times: np.ndarray):
+        e0, c, s = _split_factors(params, times)
+        p0 = e0 * (g_ee * e0 + g_ec * c + g_es * s) + c * (g_cc * c + g_cs * s) + g_ss * s * s
+        x = cavity_sq * s * s
+        return p0, kappa2 * x + gamma2 * (p0 - x)
+
+    return kernel
 
 
 class Propagator:

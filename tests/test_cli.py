@@ -274,6 +274,16 @@ class TestErrorHandling:
         assert code == 2
         assert "onset" in err
 
+    @pytest.mark.parametrize("command", ["repump", "fidelity"])
+    def test_impossible_no_click_exits_2(self, capsys, command):
+        # gamma = 0, g_b = 0, eta = 1: every trajectory clicks.  The suite
+        # turns warnings into errors, so a 0/0 warning would fail here too.
+        code, out, err = _run(capsys, [command, "--gb", "0", "--gamma", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "probability zero" in err
+        assert len(err.splitlines()) == 1
+
     def test_unwritable_output_exits_1(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "out.csv"
         code, _, err = _run(capsys, ["probabilities", "--out", str(target)])

@@ -5,6 +5,7 @@ from darkstate_sim import (
     ConditionedMixture,
     NegativeTimeError,
     Parameters,
+    ZeroProbabilityConditionError,
     fidelity,
     mixture_asymptotic,
     mixture_at,
@@ -54,6 +55,17 @@ class TestMixture:
             ConditionedMixture(lam=1.2, t=0.0)
         with pytest.raises(ValueError):
             ConditionedMixture(lam=float("nan"), t=0.0)
+
+    @pytest.mark.parametrize("t", [1e4, np.array([1.0, 1e4])])
+    def test_zero_probability_conditioning_raises(self, t):
+        # gamma = 0, g_b = 0, eta = 1: the no-click probability 1 - P_cav
+        # reaches 0 together with P0, and the weight would be 0/0.
+        params = Parameters(g_a=1.0, g_b=0.0, kappa=1.0, gamma=0.0)
+        with pytest.raises(ZeroProbabilityConditionError):
+            mixture_at(params, t)
+        with pytest.raises(ZeroProbabilityConditionError):
+            mixture_asymptotic(params, t)
+        assert mixture_asymptotic(params, t, eta=0.8).lam == pytest.approx(0.0)
 
     def test_fidelity_equals_weight(self):
         mix = ConditionedMixture(lam=0.73, t=4.0)

@@ -40,14 +40,18 @@ CHI2_2DF_1PC = 9.21034
 CHUNK = 16_384
 
 # Regimes for the root finder: the paper set, an overdamped cavity, the exact
-# critical point S = 0, a bad cavity, one coupling off, lossless atoms.
+# critical point S = 0, a bad cavity and a far worse one, one coupling off,
+# lossless atoms, and kappa << Omega, where P0 is a staircase of ~43 000 steps
+# before the horizon, finer than the start table.
 INVERSION_REGIMES = {
     "paper": Parameters(1.0, 1.0, 1.0, 1e-3),
     "overdamped": Parameters(1.0, 1.0, 20.0, 1e-3),
     "critical": Parameters(3.0, 4.0, 10.0 + 2.0**-10, 2.0**-10),
     "bad_cavity": Parameters(1.0, 1.0, 1e4, 1e-3),
+    "kappa_1e6": Parameters(1.0, 1.0, 1e6, 1e-3),
     "gb_zero": Parameters(1.0, 0.0, 1.0, 1e-3),
     "gamma_zero": Parameters(1.0, 0.6, 1.0, 0.0),
+    "staircase": Parameters(37.1, 63.0, 0.0267, 0.0),
 }
 
 
@@ -230,29 +234,72 @@ class TestInversion:
         p0 = emission_probabilities(params, times[jumped]).p0
         assert np.max(np.abs(p0 - u) / u) <= 1e-13
 
-    def test_uneven_splits_are_bit_identical(self, fig_params):
-        whole = simulate_trajectories(fig_params, 77, 0, CHUNK)
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_uneven_splits_are_bit_identical(self, name):
+        # The active set of each batch shrinks differently, so a root must
+        # not depend on which other roots share its batch.
+        params = INVERSION_REGIMES[name]
+        whole = simulate_trajectories(params, 77, 0, CHUNK)
         parts = [
-            simulate_trajectories(fig_params, 77, start, count)
+            simulate_trajectories(params, 77, start, count)
             for start, count in ((0, 1000), (1000, 7), (1007, CHUNK - 1007))
         ]
         for k in range(3):
             joined = np.concatenate([part[k] for part in parts])
             assert np.array_equal(whole[k], joined, equal_nan=True)
 
-    def test_kernel_calls_per_chunk(self, fig_params, monkeypatch):
-        calls = []
-        kernel = montecarlo.conditional_state
+    @staticmethod
+    def _kernel_points(params, monkeypatch):
+        """Points of each (P0, w1) kernel call of one chunk, and its jumps."""
+        points = []
+        factory = montecarlo._survival_kernel
 
-        def counting(params, t):
-            calls.append(t)
-            return kernel(params, t)
+        def counting_factory(p):
+            kernel = factory(p)
 
-        monkeypatch.setattr(montecarlo, "conditional_state", counting)
-        simulate_trajectories(fig_params, 42, 0, CHUNK)
-        # One table call plus a few Newton steps; bisection of [0, horizon]
-        # or Newton fallen back to linear convergence takes dozens.
-        assert len(calls) <= 12
+            def counting(t):
+                points.append(t.size)
+                return kernel(t)
+
+            return counting
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_survival_kernel", counting_factory)
+            _, codes, _ = simulate_trajectories(params, 42, 0, CHUNK)
+        table, *steps = points
+        assert table == montecarlo._TABLE_POINTS + 1
+        return points, sum(steps) / int(np.sum(codes >= 0))
+
+    def test_kernel_calls_per_chunk(self, monkeypatch):
+        # One table call plus a few Newton steps, each on the trajectories
+        # still active; bisection of [0, horizon], Newton fallen back to
+        # linear convergence, or steps over the whole chunk cost far more.
+        for name in ("paper", "overdamped", "gamma_zero"):
+            points, per_jump = self._kernel_points(INVERSION_REGIMES[name], monkeypatch)
+            assert len(points) <= 6, name
+            assert per_jump <= 2.5, name
+
+    def test_kernel_points_when_kappa_is_small(self, monkeypatch):
+        # The staircase defeats the table start, so more steps are taken,
+        # but only over the few roots that have not yet converged.
+        _, per_jump = self._kernel_points(INVERSION_REGIMES["staircase"], monkeypatch)
+        assert per_jump <= 8.0
+
+    @pytest.mark.parametrize("name", ["paper", "gamma_zero"])
+    def test_single_root_matches_batch(self, name):
+        # sample_waiting_time and the batches share one inversion routine.
+        params = INVERSION_REGIMES[name]
+        prop = Propagator.from_parameters(params)
+        times, codes, _ = simulate_trajectories(params, 5, 0, 64)
+        draws = np.random.Generator(np.random.Philox(key=5, counter=0)).random((64, 4))
+        jumped = np.flatnonzero(codes >= 0)[:12]
+        for i in jumped:
+            u = float(1.0 - draws[i, 0])
+            single = sample_waiting_time(prop, initial_state(), u)
+            p0_single, p0_batch = emission_probabilities(params, [single, times[i]]).p0
+            assert abs(p0_single - u) <= 1e-13 * u
+            assert abs(p0_batch - u) <= 1e-13 * u
+            assert abs(p0_single - p0_batch) <= 1e-13 * u
 
 
 class TestEnsemble:
@@ -269,6 +316,9 @@ class TestEnsemble:
         est = run_ensemble(fig_params, 5_000, grid, seed=9)
         total = est.p0_hat + est.p_cav_hat + est.p_spon_hat
         assert np.max(np.abs(total - 1.0)) < 1e-12
+        assert np.array_equal(est.counts.sum(axis=0), np.full(grid.size, 5_000))
+        assert np.array_equal(est.p_cav_hat, est.counts[1] / 5_000)
+        assert not est.counts.flags.writeable
 
     def test_estimates_match_closed_form(self, fig_params):
         grid = np.array([1.0, 5.0, 50.0])
