@@ -109,10 +109,10 @@ def relative_entropy_of_entanglement(mixture: ConditionedMixture):
 
 @dataclasses.dataclass(frozen=True)
 class RepumpResult:
-    """One repump-and-wait round: updated mixture and the click probability."""
+    """One repump-and-wait round: updated mixture and the click probability(ies)."""
 
     mixture: ConditionedMixture
-    click_probability: float
+    click_probability: float | np.ndarray
 
 
 def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
@@ -120,16 +120,20 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
 
     The ground-state fraction is re-excited and detected with probability
     ``p_detect``; observing no click updates the dark-pair weight to
-    lam / (lam + (1 - lam)(1 - p_detect)).
+    lam / (lam + (1 - lam)(1 - p_detect)).  Elementwise on an array-valued
+    mixture.
     """
     p_detect = float(p_detect)
     if not (math.isfinite(p_detect) and 0.0 <= p_detect <= 1.0):
         raise ValueError(f"repump detection probability must be in [0, 1], got {p_detect!r}")
-    lam = mixture.lam
+    lam = np.asarray(mixture.lam, dtype=float)
     click = (1.0 - lam) * p_detect
     denominator = lam + (1.0 - lam) * (1.0 - p_detect)
-    new_lam = lam / denominator if denominator > 0.0 else 0.0
-    new_lam = min(1.0, max(0.0, new_lam))
+    new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0)
+    # min(1, max(0, x)) with Python's tie rules, which map -0.0 to 0.0.
+    new_lam = np.where(new_lam > 0.0, np.where(new_lam < 1.0, new_lam, 1.0), 0.0)
+    if new_lam.ndim == 0:
+        new_lam, click = float(new_lam), float(click)
     return RepumpResult(
         mixture=ConditionedMixture(lam=new_lam, t=mixture.t),
         click_probability=click,

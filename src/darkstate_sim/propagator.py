@@ -25,13 +25,21 @@ and its rate w1 = -dP0/dt from the factors alone, without the amplitudes,
 for the Monte Carlo root finder.
 
 All time-dependent quantities accept scalar or array times.  Probabilities
-are clipped to [0, 1]; a violation beyond round-off raises
-ProbabilityRangeError.
+are clipped to [0, 1].  ``emission_probabilities`` clips P0 and P_cav, forms
+P_spon = 1 - P0 - P_cav from the clipped values, and then checks all three
+unclipped quantities in one pass: the largest excess outside [0, 1] is
+computed once, and past round-off (or on NaN) ProbabilityRangeError names the
+quantity and its excess.
+
+The projectors depend only on the four rates, so ``_projectors`` builds them
+once per rate set (a bounded cache keyed on (g_a, g_b, kappa, gamma), shared
+by every eta) and hands out one read-only array to every caller and thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -58,12 +66,25 @@ def _check_times(t) -> np.ndarray:
     return arr
 
 
+def _check_range(raw: np.ndarray, names) -> float:
+    """The largest excess outside [0, 1] over ``raw``, whose rows are ``names``.
+
+    Raises ProbabilityRangeError, naming the first row at fault, when the
+    excess is not below _PROB_TOL (NaN included).
+    """
+    excess = np.maximum(-raw, raw - 1.0)
+    worst = float(np.max(excess, initial=0.0))
+    if not worst < _PROB_TOL:
+        for name, row in zip(names, excess.reshape(len(names), -1)):
+            row_worst = float(np.max(row, initial=0.0))
+            if not row_worst < _PROB_TOL:
+                raise ProbabilityRangeError(f"{name} out of range by {row_worst}")
+    return worst
+
+
 def _clipped_probability(p: np.ndarray):
     arr = np.asarray(p, dtype=float)
-    if arr.size:
-        worst = float(max(np.max(-arr), np.max(arr - 1.0), 0.0))
-        if not worst < _PROB_TOL:
-            raise ProbabilityRangeError(f"probability out of range by {worst}")
+    _check_range(arr[np.newaxis], ("probability",))
     out = np.clip(arr, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -94,16 +115,26 @@ def _split_factors(params: Parameters, times: np.ndarray):
 def _projectors(params: Parameters) -> np.ndarray:
     """Omega^2 (D, P, Q), stacked, for U(t) = e0 D + c P + s Q.
 
-    Left unnormalized so that D + P = I holds exactly at t = 0.
+    Left unnormalized so that D + P = I holds exactly at t = 0.  The array
+    is shared by every call on the same four rates, so it is read-only.
     """
     _require_coupling(params)
-    dark = np.array([0.0, params.g_b, -params.g_a])
-    bright = np.array([0.0, params.g_a, params.g_b])
+    return _rate_projectors(params.g_a, params.g_b, params.kappa, params.gamma)
+
+
+# Bounded so that a sweep over many rate sets cannot grow it without limit;
+# 128 holds every rate set a CLI run or a benchmark round cycles through.
+@functools.lru_cache(maxsize=128)
+def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> np.ndarray:
+    params = Parameters(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma)
+    dark = np.array([0.0, g_b, -g_a])
+    bright = np.array([0.0, g_a, g_b])
     plane = np.outer(bright, bright)
     plane[0, 0] = params.coupling_squared  # the cavity mode
-    mean_decay = params.kappa + params.gamma
-    sine = mean_decay * plane - 2.0 * _generator_matrix(params) @ plane
-    return np.stack([np.outer(dark, dark), plane, sine])
+    sine = (kappa + gamma) * plane - 2.0 * _generator_matrix(params) @ plane
+    out = np.stack([np.outer(dark, dark), plane, sine])
+    out.setflags(write=False)
+    return out
 
 
 def _propagate(params: Parameters, factors, basis: np.ndarray) -> np.ndarray:
@@ -295,17 +326,18 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     _, cos_factor, sin_factor = factors
     mean_decay = params.kappa + params.gamma
     amps = _propagate(params, factors, _projectors(params)[:, :, 1])
-    p0 = _clipped_probability(np.sum(amps**2, axis=-1))
     bracket = (
         1.0
         - np.exp(-mean_decay * times)
         - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     )
-    p_cav = _clipped_probability(cavity_emission_saturation(params) * bracket)
-    p_spon = _clipped_probability(1.0 - p0 - p_cav)
-    return ProbabilityTriple(
-        t=float(times) if times.ndim == 0 else times,
-        p0=p0,
-        p_cav=p_cav,
-        p_spon=p_spon,
-    )
+    raw = np.empty((3,) + times.shape)
+    raw[0] = np.sum(amps**2, axis=-1)
+    raw[1] = cavity_emission_saturation(params) * bracket
+    p0, p_cav = np.clip(raw[:2], 0.0, 1.0)
+    raw[2] = 1.0 - p0 - p_cav
+    _check_range(raw, ("P0", "P_cav", "P_spon"))
+    p_spon = np.clip(raw[2], 0.0, 1.0)
+    if times.ndim == 0:
+        times, p0, p_cav, p_spon = float(times), float(p0), float(p_cav), float(p_spon)
+    return ProbabilityTriple(t=times, p0=p0, p_cav=p_cav, p_spon=p_spon)

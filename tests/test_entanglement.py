@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,24 @@ class TestArrayPaths:
         lams[4] = bad
         with pytest.raises(ValueError):
             ConditionedMixture(lam=lams, t=np.zeros(11))
+
+    def test_repump_round(self, fig_params):
+        lams = np.concatenate([[0.0, -0.0, 1.0], np.linspace(0.0, 1.0, 41)])
+        mixture = ConditionedMixture(lams, np.zeros(lams.size))
+        for p_detect in (0.0, 0.37, 0.9, 1.0):
+            result = repump_round(mixture, p_detect)
+            scalars = [repump_round(ConditionedMixture(float(lam), 0.0), p_detect) for lam in lams]
+            for got, want in [
+                (result.mixture.lam, [r.mixture.lam for r in scalars]),
+                (result.click_probability, [r.click_probability for r in scalars]),
+            ]:
+                assert np.asarray(got).tobytes() == np.array(want).tobytes()
+            assert isinstance(scalars[0].mixture.lam, float)
+            assert isinstance(scalars[0].click_probability, float)
+            assert math.copysign(1.0, scalars[1].mixture.lam) == 1.0  # -0.0 maps to 0.0
+        timed = repump_round(mixture_at(fig_params, [1.0, 5.0]), 0.9)
+        assert np.array_equal(timed.mixture.t, [1.0, 5.0])
+        assert timed.mixture.lam.shape == (2,)
 
     def test_one_negative_time_rejected(self, fig_params):
         ts = np.linspace(0.0, 10.0, 5)

@@ -1,7 +1,9 @@
 import decimal
+import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darkstate_sim
+from darkstate_sim import propagator
 from conftest import random_parameters
 from oracles import adaptive_simpson, central_difference, expm_decimal, expm_taylor
 from darkstate_sim import (
+    DegenerateCouplingError,
     NegativeTimeError,
     Parameters,
     Propagator,
@@ -25,6 +29,8 @@ from darkstate_sim import (
     mixture_at,
     no_emission_probability,
     no_emission_probability_asymptotic,
+    ProbabilityRangeError,
+    run_ensemble,
     spontaneous_emission_probability_asymptotic,
 )
 
@@ -352,18 +358,10 @@ class TestDecimalOracle:
             assert _relative_error(triple.p0[i], _decimal_survival(p, ts[i])) <= 1e-11
 
 
-def test_range_violation_raises_under_optimize():
-    # The check must not be an assert, which python -O strips.
+def _run_optimized(code: str) -> str:
+    """Stdout of ``code`` run by a ``python -O`` child that imports this package."""
     src = os.path.dirname(os.path.dirname(darkstate_sim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "from darkstate_sim import ProbabilityRangeError\n"
-        "from darkstate_sim.propagator import _clipped_probability\n"
-        "try:\n"
-        "    _clipped_probability(1.5)\n"
-        "except ProbabilityRangeError as exc:\n"
-        "    print('raised:', exc)\n"
-    )
     result = subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True,
@@ -372,4 +370,159 @@ def test_range_violation_raises_under_optimize():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("raised: probability out of range by 0.5")
+    return result.stdout
+
+
+def test_range_violation_raises_under_optimize():
+    # The check must not be an assert, which python -O strips.
+    code = (
+        "from darkstate_sim import ProbabilityRangeError\n"
+        "from darkstate_sim.propagator import _clipped_probability\n"
+        "try:\n"
+        "    _clipped_probability(1.5)\n"
+        "except ProbabilityRangeError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert _run_optimized(code).startswith("raised: probability out of range by 0.5")
+
+
+def test_budget_range_violation_raises_under_optimize():
+    code = (
+        "from darkstate_sim import Parameters, ProbabilityRangeError, propagator\n"
+        "propagator.cavity_emission_saturation = lambda params: 2.0\n"
+        "try:\n"
+        "    propagator.emission_probabilities(Parameters(1.0, 1.0, 1.0, 1e-3), 50.0)\n"
+        "except ProbabilityRangeError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert _run_optimized(code).startswith("raised: P_cav out of range by 1.0")
+
+
+class TestBudgetRangeCheck:
+    """One pass over the raw (P0, P_cav, P_spon) names the quantity at fault."""
+
+    TIMES = np.array([0.0, 1.0, 10.0, 50.0])
+
+    def test_p0(self, fig_params, monkeypatch):
+        exact = emission_probabilities(fig_params, self.TIMES)
+        original = propagator._propagate
+        monkeypatch.setattr(propagator, "_propagate", lambda *args: 2.0 * original(*args))
+        with pytest.raises(ProbabilityRangeError) as info:
+            emission_probabilities(fig_params, self.TIMES)
+        assert str(info.value) == f"P0 out of range by {4.0 * np.max(exact.p0) - 1.0}"
+
+    def test_p_cav(self, fig_params, monkeypatch):
+        exact = emission_probabilities(fig_params, self.TIMES)
+        saturation = cavity_emission_saturation(fig_params)
+        monkeypatch.setattr(propagator, "cavity_emission_saturation", lambda p: 4.0 * saturation)
+        with pytest.raises(ProbabilityRangeError) as info:
+            emission_probabilities(fig_params, self.TIMES)
+        assert str(info.value) == f"P_cav out of range by {4.0 * np.max(exact.p_cav) - 1.0}"
+
+    def test_p_spon(self, fig_params, monkeypatch):
+        # P0 and P_cav stay inside [0, 1]; only their complement leaves it.
+        exact = emission_probabilities(fig_params, self.TIMES)
+        saturation = cavity_emission_saturation(fig_params)
+        monkeypatch.setattr(propagator, "cavity_emission_saturation", lambda p: 1.0)
+        p_cav = exact.p_cav / saturation
+        assert np.all(p_cav <= 1.0)
+        with pytest.raises(ProbabilityRangeError, match=r"^P_spon out of range by ") as info:
+            emission_probabilities(fig_params, self.TIMES)
+        excess = float(str(info.value).rsplit(" ", 1)[1])
+        assert excess == pytest.approx(np.max(exact.p0 + p_cav - 1.0), rel=1e-12)
+
+    def test_nan_is_out_of_range(self, fig_params, monkeypatch):
+        monkeypatch.setattr(propagator, "cavity_emission_saturation", lambda p: float("nan"))
+        with pytest.raises(ProbabilityRangeError, match=r"^P_cav out of range by nan"):
+            emission_probabilities(fig_params, 1.0)
+
+    def test_empty_times(self, fig_params):
+        triple = emission_probabilities(fig_params, np.array([]))
+        assert triple.p0.shape == triple.p_cav.shape == triple.p_spon.shape == (0,)
+
+
+class TestProjectorCache:
+    """``_projectors`` builds each rate set's projectors once and shares them."""
+
+    def _outputs(self, params, times):
+        triple = emission_probabilities(params, times)
+        return [
+            triple.p0,
+            triple.p_cav,
+            triple.p_spon,
+            conditional_state(params, times),
+            Propagator.from_parameters(params).matrix(times),
+            mixture_at(params, times).lam,
+            mixture_at(params, float(times[-1])).lam,
+        ]
+
+    def test_shared_array_is_read_only(self, fig_params):
+        for basis in (
+            propagator._projectors(fig_params),
+            Propagator.from_parameters(fig_params)._basis,
+        ):
+            with pytest.raises(ValueError):
+                basis[0, 1, 1] = 0.0
+
+    def test_one_miss_per_rate_set(self):
+        propagator._rate_projectors.cache_clear()
+        for eta in (1.0, 0.8, 0.3, 0.0):
+            params = Parameters(g_a=0.7, g_b=2.1, kappa=9.3, gamma=0.004, eta=eta)
+            emission_probabilities(params, np.array([0.0, 1.0]))
+            mixture_at(params, 2.0)
+            Propagator.from_parameters(params).matrix(3.0)
+        info = propagator._rate_projectors.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 11
+
+    def test_cold_and_warm_bit_identical(self, rng):
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 40)])
+        for _ in range(5):
+            params = random_parameters(rng)
+            propagator._rate_projectors.cache_clear()
+            cold = self._outputs(params, times)
+            warm = self._outputs(params, times)
+            for a, b in zip(cold, warm):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_negative_zero_rates_share_one_entry(self):
+        times = np.linspace(0.0, 20.0, 50)
+        signed = Parameters(g_a=1.0, g_b=-0.0, kappa=1.0, gamma=-0.0)
+        plain = Parameters(g_a=1.0, g_b=0.0, kappa=1.0, gamma=0.0)
+        assert math.copysign(1.0, signed.g_b) == math.copysign(1.0, signed.gamma) == 1.0
+        for first, second in [(signed, plain), (plain, signed)]:
+            propagator._rate_projectors.cache_clear()
+            for a, b in zip(self._outputs(first, times), self._outputs(second, times)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_threads_match_serial(self, rng, fig_params):
+        times = np.geomspace(1e-3, 100.0, 30)
+        sets = [random_parameters(rng) for _ in range(24)]
+        serial = [self._outputs(p, times) for p in sets]
+        interval = sys.getswitchinterval()
+        propagator._rate_projectors.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(self._outputs, p, times) for p in sets for _ in range(2)]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, outputs in enumerate(threaded):
+            for a, b in zip(serial[k // 2], outputs):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        grid = np.linspace(0.0, 30.0, 7)
+        propagator._rate_projectors.cache_clear()
+        pooled = run_ensemble(fig_params, 40_000, grid, seed=7, workers=2)
+        one = run_ensemble(fig_params, 40_000, grid, seed=7, workers=1)
+        assert np.array_equal(pooled.counts, one.counts)
+
+    def test_zero_couplings_raise_every_call(self):
+        params = Parameters(g_a=0.0, g_b=0.0, kappa=1.0, gamma=1e-3)
+        for _ in range(3):
+            with pytest.raises(DegenerateCouplingError):
+                propagator._projectors(params)
+            with pytest.raises(DegenerateCouplingError):
+                emission_probabilities(params, 1.0)
+            with pytest.raises(DegenerateCouplingError):
+                conditional_state(params, 1.0)
