@@ -145,11 +145,9 @@ def cmd_entropy(args) -> int:
 def cmd_trajectories(args) -> int:
     if args.trajectories < 1:
         raise ValueError("need at least 1 trajectory")
-    if args.workers is not None and args.workers < 1:
-        raise ValueError("need at least 1 worker")
     params = _parameters(args, eta=args.eta)
     grid = _grid_from_zero(args)
-    estimate = run_ensemble(params, args.trajectories, grid, args.seed, workers=args.workers)
+    estimate = run_ensemble(params, args.trajectories, grid, args.seed)
     exact = emission_probabilities(params, grid)
 
     def _z_scores(hat, ref):
@@ -262,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ensemble size (default 10000)",
     )
     p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker threads, capped by DARKSTATE_THREADS "
-        "(default: DARKSTATE_THREADS, else 1); the output does not depend on it",
-    )
     p.add_argument(
         "--eta", type=float, default=1.0, help="detector efficiency (default 1.0)"
     )

@@ -71,9 +71,7 @@ class Parameters:
 
     def __post_init__(self):
         for name in ("g_a", "g_b", "kappa", "gamma", "eta"):
-            # + 0.0 turns -0.0 into 0.0, so equal rates compute identically
-            # whichever of them ``propagator._projectors`` cached first.
-            value = float(getattr(self, name)) + 0.0
+            value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)

@@ -376,11 +376,15 @@ def _worker_count(requested: int | None) -> int:
             cap = int(cap_env)
         except ValueError as exc:
             raise ValueError(f"DARKSTATE_THREADS must be an integer, got {cap_env!r}") from exc
+        if cap < 1:
+            raise ValueError(f"DARKSTATE_THREADS must be at least 1, got {cap_env!r}")
     if requested is None:
         requested = cap if cap is not None else 1
+    elif requested < 1:
+        raise ValueError(f"workers must be at least 1, got {requested!r}")
     if cap is not None:
         requested = min(requested, cap)
-    return max(1, int(requested))
+    return int(requested)
 
 
 def _tally_chunk(params, seed, start, count, horizon, grid):
@@ -405,7 +409,7 @@ def run_ensemble(
     randomness never depends on the partitioning, so the estimate is
     bit-identical for any worker count.  ``workers`` defaults to the
     DARKSTATE_THREADS environment variable (which also caps an explicit
-    request), else 1.
+    request), else 1; a count below 1 from either raises ValueError.
     """
     n = int(n)
     if n < 1:

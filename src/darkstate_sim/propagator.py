@@ -119,7 +119,11 @@ def _projectors(params: Parameters) -> np.ndarray:
     is shared by every call on the same four rates, so it is read-only.
     """
     _require_coupling(params)
-    return _rate_projectors(params.g_a, params.g_b, params.kappa, params.gamma)
+    # -0.0 and 0.0 are one cache key, so the array is built from + 0.0 and
+    # never depends on which of them filled the entry.
+    return _rate_projectors(
+        params.g_a + 0.0, params.g_b + 0.0, params.kappa + 0.0, params.gamma + 0.0
+    )
 
 
 # Bounded so that a sweep over many rate sets cannot grow it without limit;

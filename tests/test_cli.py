@@ -13,9 +13,7 @@ from darkstate_sim import (
     mixture_asymptotic,
     relative_entropy_of_entanglement,
 )
-from darkstate_sim import cli
 from darkstate_sim.cli import main
-from darkstate_sim.montecarlo import run_ensemble
 
 SATURATION = 0.4992508740634678
 
@@ -226,43 +224,6 @@ class TestTrajectoriesCommand:
             assert code == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
-
-
-    def test_byte_identical_across_worker_flags(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("DARKSTATE_THREADS", raising=False)
-        outputs = []
-        for workers in ("1", "2"):
-            path = tmp_path / f"workers_{workers}.csv"
-            code, _, _ = _run(
-                capsys,
-                [
-                    "trajectories", "--trajectories", "20000", "--steps", "5",
-                    "--tmax", "30", "--seed", "11", "--workers", workers,
-                    "--out", str(path),
-                ],
-            )
-            assert code == 0
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_worker_flag_reaches_ensemble(self, capsys, monkeypatch):
-        seen = []
-
-        def spy(*args, workers=None):
-            seen.append(workers)
-            return run_ensemble(*args, workers=workers)
-
-        monkeypatch.setattr(cli, "run_ensemble", spy)
-        argv = ["trajectories", "--trajectories", "10", "--steps", "3"]
-        assert _run(capsys, argv)[0] == 0
-        assert _run(capsys, argv + ["--workers", "2"])[0] == 0
-        assert seen == [None, 2]
-
-    def test_zero_workers_exits_2(self, capsys):
-        code, out, err = _run(capsys, ["trajectories", "--workers", "0"])
-        assert code == 2
-        assert out == ""
-        assert "worker" in err
 
 
 class TestRepumpCommand:

@@ -349,6 +349,16 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(fig_params, 100, grid, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, fig_params, monkeypatch, workers):
+        grid = np.linspace(0.0, 10.0, 5)
+        monkeypatch.delenv("DARKSTATE_THREADS", raising=False)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_ensemble(fig_params, 100, grid, seed=1, workers=workers)
+        monkeypatch.setenv("DARKSTATE_THREADS", str(workers))
+        with pytest.raises(ValueError, match="DARKSTATE_THREADS must be at least 1"):
+            run_ensemble(fig_params, 100, grid, seed=1)
+
     def test_stderr_formula(self, fig_params):
         grid = np.array([5.0])
         est = run_ensemble(fig_params, 1_000, grid, seed=2)

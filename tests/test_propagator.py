@@ -486,13 +486,20 @@ class TestProjectorCache:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_negative_zero_rates_share_one_entry(self):
+        # -0.0 and 0.0 are one cache key; the outputs of either must not
+        # depend on which of them filled the entry.
         times = np.linspace(0.0, 20.0, 50)
         signed = Parameters(g_a=1.0, g_b=-0.0, kappa=1.0, gamma=-0.0)
         plain = Parameters(g_a=1.0, g_b=0.0, kappa=1.0, gamma=0.0)
-        assert math.copysign(1.0, signed.g_b) == math.copysign(1.0, signed.gamma) == 1.0
-        for first, second in [(signed, plain), (plain, signed)]:
+        assert math.copysign(1.0, signed.g_b) == math.copysign(1.0, signed.gamma) == -1.0
+        for params, other in [(signed, plain), (plain, signed)]:
             propagator._rate_projectors.cache_clear()
-            for a, b in zip(self._outputs(first, times), self._outputs(second, times)):
+            cold = self._outputs(params, times)
+            propagator._rate_projectors.cache_clear()
+            self._outputs(other, times)
+            after_other = self._outputs(params, times)
+            assert propagator._rate_projectors.cache_info().currsize == 1
+            for a, b in zip(cold, after_other):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_threads_match_serial(self, rng, fig_params):
