@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import math
 import sys
 
 import numpy as np
@@ -34,16 +36,23 @@ from .montecarlo import run_ensemble
 from .propagator import conditional_state, emission_probabilities
 
 _POST_TRANSIENT_ONSET = 5.0  # grid start for fidelity/entropy, in units of 1/kappa
+_BLOCK_ROWS = 4096  # rows formatted into one string per write
 
 
-def _format_value(value) -> str:
-    return format(float(value), ".12g")
+def _write_table(stream, header: list[str], columns) -> None:
+    """Write a header and equal-length columns as CSV, one row block at a time.
 
-
-def _write_table(stream, header: list[str], rows) -> None:
+    ``%.12g`` gives the text of ``format(float(v), ".12g")`` for every float,
+    ``-0.0``, ``nan`` and ``inf`` included.  Stacking and formatting per block
+    keeps a large table from holding all its text, or a Python float per
+    value, at once.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    row_template = ",".join(["%.12g"] * len(columns)) + "\n"
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_value(v) for v in row) + "\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([column[start:start + _BLOCK_ROWS] for column in columns])
+        stream.write((row_template * len(block)) % tuple(block.ravel().tolist()))
 
 
 @contextlib.contextmanager
@@ -84,17 +93,22 @@ def _parameters(args, eta: float = 1.0) -> Parameters:
     return Parameters(g_a=args.ga, g_b=args.gb, kappa=args.kappa, gamma=args.gamma, eta=eta)
 
 
-def _grid_from_zero(args) -> np.ndarray:
+def _check_grid(args) -> None:
     if args.steps < 2:
         raise ValueError("need at least 2 grid points")
+    if not math.isfinite(args.tmax):
+        raise ValueError("tmax must be finite")
+
+
+def _grid_from_zero(args) -> np.ndarray:
+    _check_grid(args)
     if not args.tmax > 0.0:
         raise ValueError("tmax must be positive")
     return np.linspace(0.0, args.tmax, args.steps)
 
 
 def _grid_post_transient(args, kappa: float) -> np.ndarray:
-    if args.steps < 2:
-        raise ValueError("need at least 2 grid points")
+    _check_grid(args)
     start = _POST_TRANSIENT_ONSET / kappa
     if not args.tmax > start:
         raise ValueError(f"tmax must exceed the post-transient onset {start:g}")
@@ -105,9 +119,8 @@ def cmd_amplitudes(args) -> int:
     params = _parameters(args)
     grid = _grid_from_zero(args)
     populations = conditional_state(params, grid) ** 2
-    rows = zip(grid, *populations.T)
     with _output_stream(args.out) as stream:
-        _write_table(stream, ["t", "P_100", "P_010", "P_001"], rows)
+        _write_table(stream, ["t", "P_100", "P_010", "P_001"], [grid, *populations.T])
     return 0
 
 
@@ -115,9 +128,9 @@ def cmd_probabilities(args) -> int:
     params = _parameters(args)
     grid = _grid_from_zero(args)
     triple = emission_probabilities(params, grid)
-    rows = zip(grid, triple.p0, triple.p_cav, triple.p_spon)
+    columns = [grid, triple.p0, triple.p_cav, triple.p_spon]
     with _output_stream(args.out) as stream:
-        _write_table(stream, ["t", "P0", "Pcav", "Pspon"], rows)
+        _write_table(stream, ["t", "P0", "Pcav", "Pspon"], columns)
     return 0
 
 
@@ -126,9 +139,8 @@ def cmd_fidelity(args) -> int:
     grid = _grid_post_transient(args, params.kappa)
     columns = [mixture_asymptotic(params, grid, eta=eta).lam for eta in args.eta]
     header = ["t"] + [f"F_eta{eta:g}" for eta in args.eta]
-    rows = zip(grid, *columns)
     with _output_stream(args.out) as stream:
-        _write_table(stream, header, rows)
+        _write_table(stream, header, [grid, *columns])
     return 0
 
 
@@ -136,9 +148,8 @@ def cmd_entropy(args) -> int:
     params = _parameters(args)
     grid = _grid_post_transient(args, params.kappa)
     entropy = relative_entropy_of_entanglement(mixture_asymptotic(params, grid, eta=args.eta))
-    rows = zip(grid, entropy)
     with _output_stream(args.out) as stream:
-        _write_table(stream, ["t", "E"], rows)
+        _write_table(stream, ["t", "E"], [grid, entropy])
     return 0
 
 
@@ -164,7 +175,7 @@ def cmd_trajectories(args) -> int:
         float(np.max(_z_scores(estimate.p_cav_hat, exact.p_cav))),
         float(np.max(_z_scores(estimate.p_spon_hat, exact.p_spon))),
     )
-    rows = zip(
+    columns = [
         grid,
         estimate.p0_hat,
         estimate.p_cav_hat,
@@ -172,12 +183,12 @@ def cmd_trajectories(args) -> int:
         estimate.p0_stderr,
         estimate.p_cav_stderr,
         estimate.p_spon_stderr,
-    )
+    ]
     with _output_stream(args.out) as stream:
         _write_table(
             stream,
             ["t", "p0_hat", "pcav_hat", "pspon_hat", "p0_stderr", "pcav_stderr", "pspon_stderr"],
-            rows,
+            columns,
         )
     print(
         f"trajectories: n={args.trajectories} seed={args.seed} "
@@ -208,7 +219,7 @@ def cmd_repump(args) -> int:
             )
         )
     with _output_stream(args.out) as stream:
-        _write_table(stream, ["round", "click_probability", "lambda", "entropy"], rows)
+        _write_table(stream, ["round", "click_probability", "lambda", "entropy"], zip(*rows))
     return 0
 
 
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_arguments(p, tmax_default=500.0)
     p.add_argument(
-        "--eta", type=float, nargs="+", default=[1.0, 0.8],
+        "--eta", type=float, nargs="+", default=(1.0, 0.8),
         help="detector efficiencies, one column each (default: 1.0 0.8)",
     )
     p.set_defaults(func=cmd_fidelity)
@@ -287,9 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``build_parser`` returns a new parser on every call; ``main`` parses with one
+# built on first use.  Parsing leaves the parser unchanged, and every default
+# is immutable, so calls from several threads can share it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SimulationError, ValueError) as exc:

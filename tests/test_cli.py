@@ -1,7 +1,10 @@
+import io
 import math
 import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from darkstate_sim import (
     mixture_asymptotic,
     relative_entropy_of_entanglement,
 )
-from darkstate_sim.cli import main
+from darkstate_sim import cli
+from darkstate_sim.cli import build_parser, main
 
 SATURATION = 0.4992508740634678
 
@@ -274,6 +278,17 @@ class TestErrorHandling:
         assert code == 2
         assert "onset" in err
 
+    @pytest.mark.parametrize(
+        "command", ["amplitudes", "probabilities", "fidelity", "entropy", "trajectories"]
+    )
+    def test_non_finite_tmax_exits_2(self, capsys, command):
+        # The suite turns warnings into errors, so a numpy warning on the
+        # infinite grid would fail here too.
+        code, out, err = _run(capsys, [command, "--tmax", "inf", "--steps", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: tmax must be finite\n"
+
     @pytest.mark.parametrize("command", ["repump", "fidelity"])
     def test_impossible_no_click_exits_2(self, capsys, command):
         # gamma = 0, g_b = 0, eta = 1: every trajectory clicks.  The suite
@@ -289,6 +304,131 @@ class TestErrorHandling:
         code, _, err = _run(capsys, ["probabilities", "--out", str(target)])
         assert code == 1
         assert err.startswith("error:")
+
+
+def _reference_table(header, rows) -> str:
+    """The per-value writer the block writer must reproduce byte for byte."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".12g") for v in row) + "\n")
+    return "".join(lines)
+
+
+def _write(header, columns) -> str:
+    stream = io.StringIO()
+    cli._write_table(stream, header, columns)
+    return stream.getvalue()
+
+
+class TestWriteTable:
+    SPECIAL = [
+        -0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 123456789012.5,
+        -2.5e-7, 0.5, 1.0, math.nan, math.inf, -math.inf,
+    ]
+
+    def test_special_values_match_reference(self):
+        columns = [self.SPECIAL, self.SPECIAL[::-1]]
+        rows = list(zip(*columns))
+        assert _write(["a", "b"], columns) == _reference_table(["a", "b"], rows)
+
+    def test_integer_rounds_match_reference(self):
+        # repump hands its ledger over as zip(*rows), round index first.
+        rows = [(0, 0.0, 0.8325, 0.5), (1, 0.1 + 0.2, -0.0, 1e-300), (12, 5e-324, 1.0, math.nan)]
+        header = ["round", "click_probability", "lambda", "entropy"]
+        assert _write(header, zip(*rows)) == _reference_table(header, rows)
+
+    @pytest.mark.parametrize("n_rows", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def test_block_edges_match_reference(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = [
+            np.linspace(0.0, 15.0, n_rows),
+            rng.random(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows),
+            -rng.random(n_rows),
+        ]
+        rows = list(zip(*columns))
+        text = _write(["t", "x", "y"], columns)
+        assert text.count("\n") == n_rows + 1
+        assert text == _reference_table(["t", "x", "y"], rows)
+
+
+HELP_PAGES = Path(__file__).parent / "data" / "cli_help"
+SUBCOMMANDS = ["amplitudes", "probabilities", "fidelity", "entropy", "trajectories", "repump"]
+
+
+class TestSharedParser:
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_defaults_are_immutable(self, command):
+        namespace = build_parser().parse_args([command])
+        for name, value in vars(namespace).items():
+            assert not isinstance(value, (list, dict, set, bytearray)), name
+        if command == "fidelity":
+            assert namespace.eta == (1.0, 0.8)
+
+    @pytest.mark.parametrize("page", ["main", *SUBCOMMANDS])
+    def test_help_pages_unchanged(self, capsys, monkeypatch, page):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = (HELP_PAGES / f"{page}.txt").read_text()
+        argv = ["--help"] if page == "main" else [page, "--help"]
+        for _ in range(2):  # the parser is reused between calls
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            assert capsys.readouterr().out == expected
+
+    def test_concurrent_calls_match_serial(self, capsys, tmp_path):
+        commands = {
+            "amplitudes": ["amplitudes", *RATE_FLAGS, "--steps", "60"],
+            "probabilities": ["probabilities", "--steps", "60"],
+            "fidelity": ["fidelity", *RATE_FLAGS, "--steps", "60", "--eta", "1.0", "0.63"],
+            "entropy": ["entropy", "--steps", "60", "--eta", "0.71"],
+            "trajectories": ["trajectories", "--trajectories", "300", "--steps", "5", "--seed", "3"],
+            "repump": ["repump", "--lambda0", "0.3", "--eta", "0.8"],
+        }
+
+        def run_all(directory, order, codes):
+            directory.mkdir()
+            for name in order:
+                codes.append(main([*commands[name], "--out", str(directory / f"{name}.csv")]))
+
+        serial_codes = []
+        run_all(tmp_path / "serial", list(commands), serial_codes)
+        assert serial_codes == [0] * len(commands)
+
+        rounds, n_threads = 3, 4
+        codes = [[] for _ in range(n_threads)]
+        errors = []
+
+        def worker(index):
+            try:
+                for r in range(rounds):
+                    order = list(commands)[index:] + list(commands)[:index]
+                    run_all(tmp_path / f"thread{index}-{r}", order, codes[index])
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+
+        assert errors == []
+        assert codes == [[0] * (rounds * len(commands))] * n_threads
+        for name in commands:
+            serial = (tmp_path / "serial" / f"{name}.csv").read_bytes()
+            for index in range(n_threads):
+                for r in range(rounds):
+                    assert (tmp_path / f"thread{index}-{r}" / f"{name}.csv").read_bytes() == serial
 
 
 class TestModuleEntryPoint:
