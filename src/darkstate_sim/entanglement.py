@@ -28,9 +28,10 @@ import numpy as np
 from .errors import ZeroProbabilityConditionError
 from .model import Parameters
 from .propagator import (
+    _check_times,
+    _clipped_probability,
     cavity_emission_saturation,
     emission_probabilities,
-    no_emission_probability_asymptotic,
 )
 
 
@@ -80,18 +81,17 @@ def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMi
 def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
     """Conditioned mixture in the post-transient regime (t >> 1/(kappa+gamma)).
 
-    Uses the asymptotic survival weight together with the saturated cavity
-    budget, which is the working point after the cavity transient has decayed
-    and only the slow spontaneous envelope evolves.
+    Uses the asymptotic survival weight, the dark weight (g_b^2/Omega^2)
+    e^{-2 gamma t} that is left once the bright components have rung down,
+    together with the saturated cavity budget: the working point after the
+    cavity transient has decayed and only the slow spontaneous envelope
+    evolves.  At eta = 0, lam is that survival weight itself.
     """
     eta = _resolve_eta(params, eta)
-    p0 = no_emission_probability_asymptotic(params, t)
-    return _mixture(p0, cavity_emission_saturation(params), eta, t)
-
-
-def fidelity(mixture: ConditionedMixture):
-    """Overlap of the mixture with the maximally entangled dark pair (= lam)."""
-    return mixture.lam
+    saturation = cavity_emission_saturation(params)
+    weight = params.g_b**2 / params.coupling_squared
+    p0 = _clipped_probability(weight * np.exp(-2.0 * params.gamma * _check_times(t)))
+    return _mixture(p0, saturation, eta, t)
 
 
 def relative_entropy_of_entanglement(mixture: ConditionedMixture):

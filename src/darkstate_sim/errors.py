@@ -13,10 +13,6 @@ class NegativeTimeError(SimulationError):
     """A propagation time was negative; conditional evolution runs forward only."""
 
 
-class InvalidUniformError(SimulationError):
-    """A uniform variate fell outside the domain expected by inverse sampling."""
-
-
 class ZeroRateError(SimulationError):
     """A jump was requested from a state with zero total emission rate."""
 

@@ -38,13 +38,6 @@ import numpy as np
 
 from .errors import DegenerateCouplingError
 
-# Basis indices, in the order documented above.
-CAVITY_MODE = 0
-ATOM_A = 1
-ATOM_B = 2
-
-BASIS_LABELS = ("100", "010", "001")
-
 
 @dataclasses.dataclass(frozen=True)
 class Parameters:
@@ -97,44 +90,6 @@ def _require_coupling(params: Parameters) -> None:
         )
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class StateVector:
-    """Pure state in the single-excitation sector.
-
-    ``amplitudes`` holds the complex coefficients on (|100>, |010>, |001>);
-    the total weight never exceeds one.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (3,):
-            raise ValueError("amplitudes must have exactly three components")
-        total = float(np.sum(np.abs(amps) ** 2))
-        if total > 1.0 + 1e-12:
-            raise ValueError(f"total weight {total} exceeds one")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        """Squared norm of the excited-sector amplitudes."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def normalized(self) -> "StateVector":
-        """Unit-norm copy of the state."""
-        norm = math.sqrt(self.norm_squared)
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return StateVector(self.amplitudes / norm)
-
-
-def initial_state() -> StateVector:
-    """Preparation used throughout: the excitation starts on atom a, |010>."""
-    return StateVector(np.array([0.0, 1.0, 0.0]))
-
-
 def _split_squared(params: Parameters) -> float:
     """S^2 = 4(g_a^2+g_b^2) - (kappa-gamma)^2: > 0 oscillatory, < 0 overdamped."""
     return 4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2
@@ -176,14 +131,14 @@ class ConditionalGenerator:
         Rates the generator was built from.
     matrix : ndarray
         The real 3x3 generator M (amplitudes evolve as exp(-M t)).
-    dark_state : StateVector
-        Eigenvector of the dark eigenvalue gamma; independent of kappa and
-        gamma, with its largest component real and positive.
+    dark_state : ndarray
+        Read-only real unit eigenvector of the dark eigenvalue gamma;
+        independent of kappa and gamma, with its largest component positive.
     """
 
     params: Parameters
     matrix: np.ndarray
-    dark_state: StateVector
+    dark_state: np.ndarray
 
 
 def conditional_generator(params: Parameters) -> ConditionalGenerator:
@@ -196,8 +151,5 @@ def conditional_generator(params: Parameters) -> ConditionalGenerator:
     g_a, g_b = params.g_a, params.g_b
     sign = 1.0 if g_b >= g_a else -1.0
     dark = sign * np.array([0.0, g_b, -g_a]) / math.sqrt(params.coupling_squared)
-    return ConditionalGenerator(
-        params=params,
-        matrix=_generator_matrix(params),
-        dark_state=StateVector(dark),
-    )
+    dark.setflags(write=False)
+    return ConditionalGenerator(params=params, matrix=_generator_matrix(params), dark_state=dark)

@@ -18,6 +18,10 @@ come with the table.  Each Newton step evaluates only the roots still
 active: on the paper's set a 16 384-trajectory chunk takes three steps over
 about 25 000 points in all, 1.5 per jump.
 
+``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
+(the budget frequencies on a time grid) are the entry points; both start
+from |010>, and both reject a horizon or grid time that is not finite.
+
 Randomness is counter-based: trajectory ``index`` under master ``seed``
 consumes exactly one Philox block, ``Generator(Philox(key=seed,
 counter=index)).random(4)`` — (waiting, channel, detection, spare).  The
@@ -28,16 +32,15 @@ chunking and of the worker count used to evaluate it.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EmptyGridError, InvalidUniformError, NegativeTimeError, ZeroRateError
-from .model import Parameters, StateVector, _emission_rates
-from .propagator import Propagator, _survival_kernel, conditional_state
+from .errors import EmptyGridError, NegativeTimeError, ZeroRateError
+from .model import Parameters, _emission_rates
+from .propagator import _survival_kernel, conditional_state
 
 # Start table of P0: t = 0 plus log-spaced times from 1e-9 * horizon to the
 # horizon.  Neighbouring times differ by 0.5 %, so the interpolated start lies
@@ -52,7 +55,7 @@ _TABLE_START = 1e-9
 # from the table start, batches stop within 2 to 5 steps, or about 20 when
 # kappa << Omega makes P0 a staircase finer than the table (each step over
 # fewer roots: 1 to 2 kernel points per jump in all, 6 to 7 on the
-# staircase); a single root started at mid-[0, horizon] stops within about 50.
+# staircase).
 _RESIDUAL_TOL = 1e-15
 _BRACKET_ULPS = 4
 _MAX_STEPS = 200
@@ -68,37 +71,6 @@ _DRAWS_PER_TRAJECTORY = 4  # one Philox block
 _CHUNK = 16384
 
 _CODE_CAVITY, _CODE_SPON_A, _CODE_SPON_B, _CODE_NONE = 0, 1, 2, -1
-
-
-class Channel(enum.Enum):
-    """Decay port that fired first, or NONE for a surviving trajectory."""
-
-    CAVITY = "cavity"
-    SPON_A = "spon_a"
-    SPON_B = "spon_b"
-    NONE = "none"
-
-
-_CODE_TO_CHANNEL = {
-    _CODE_CAVITY: Channel.CAVITY,
-    _CODE_SPON_A: Channel.SPON_A,
-    _CODE_SPON_B: Channel.SPON_B,
-    _CODE_NONE: Channel.NONE,
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class TrajectoryOutcome:
-    """Result of one conditional trajectory.
-
-    ``first_jump_time`` is None when no jump occurred within the horizon
-    (channel NONE); ``detected`` is True only for CAVITY jumps that passed
-    the detector-efficiency thinning.
-    """
-
-    first_jump_time: float | None
-    channel: Channel
-    detected: bool
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -236,41 +208,6 @@ def _invert_survival(kernel, log_u, lo, hi, t):
     return times
 
 
-def sample_waiting_time(
-    prop: Propagator, state: StateVector, u: float, horizon: float | None = None
-) -> float | None:
-    """Invert the survival law: the t with ||U(t) state||^2 = u.
-
-    ``u`` must lie in (0, 1]; u = 1 maps to t = 0 exactly.  Returns None when
-    the survival at the horizon still exceeds u (no jump within the horizon;
-    for gamma = 0 this happens with the finite probability of the dark
-    weight).  The root is bracketed by [0, horizon] and polished by the same
-    safeguarded Newton iteration as ``simulate_trajectories``.
-    """
-    if not (isinstance(u, (int, float)) and math.isfinite(u)) or not 0.0 < u <= 1.0:
-        raise InvalidUniformError(f"waiting-time uniform must be in (0, 1], got {u!r}")
-    if horizon is None:
-        horizon = default_horizon(prop.generator.params)
-    horizon = float(horizon)
-    if horizon <= 0.0:
-        raise NegativeTimeError("horizon must be positive")
-    if u == 1.0:
-        return 0.0
-    if u <= prop.survival(state, horizon):
-        return None
-    params = prop.generator.params
-
-    def kernel(times):
-        weights = np.abs(prop.apply(state, times)) ** 2
-        w_cav, w_a, w_b = _emission_rates(params, weights)
-        return np.sum(weights, axis=-1), w_cav + w_a + w_b
-
-    t = _invert_survival(
-        kernel, np.log([u]), np.zeros(1), np.full(1, horizon), np.full(1, 0.5 * horizon)
-    )
-    return float(t[0])
-
-
 def _classify(params, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Channel codes from the weights |c|^2 at the jumps, shape (n, 3).
 
@@ -288,18 +225,6 @@ def _classify(params, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
         _CODE_CAVITY,
         np.where(v < (w_cav + w_a) / total, _CODE_SPON_A, _CODE_SPON_B),
     ).astype(np.int8)
-
-
-def classify_jump(prop: Propagator, state_at_jump: StateVector, v: float) -> Channel:
-    """Pick the emission channel from the rate weights at the jump moment.
-
-    The thresholds are those of the trajectory batches (see ``_classify``).
-    """
-    if not (isinstance(v, (int, float)) and math.isfinite(v)) or not 0.0 <= v <= 1.0:
-        raise InvalidUniformError(f"channel uniform must be in [0, 1], got {v!r}")
-    weights = np.abs(state_at_jump.amplitudes[None, :]) ** 2
-    code = _classify(prop.generator.params, weights, np.array([v]))[0]
-    return _CODE_TO_CHANNEL[int(code)]
 
 
 def simulate_trajectories(
@@ -322,6 +247,8 @@ def simulate_trajectories(
     if horizon is None:
         horizon = default_horizon(params)
     horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0.0:
         raise NegativeTimeError("horizon must be positive")
 
@@ -353,19 +280,6 @@ def simulate_trajectories(
     codes[jumping] = code_j
     detected[jumping] = (code_j == _CODE_CAVITY) & (detect_draw[jumping] < params.eta)
     return times, codes, detected
-
-
-def simulate_trajectory(
-    params: Parameters, seed: int, index: int, horizon: float | None = None
-) -> TrajectoryOutcome:
-    """Outcome of the single trajectory ``index`` under master ``seed``."""
-    times, codes, detected = simulate_trajectories(params, seed, index, 1, horizon)
-    time = None if math.isnan(times[0]) else float(times[0])
-    return TrajectoryOutcome(
-        first_jump_time=time,
-        channel=_CODE_TO_CHANNEL[int(codes[0])],
-        detected=bool(detected[0]),
-    )
 
 
 def _worker_count(requested: int | None) -> int:
@@ -418,6 +332,8 @@ def run_ensemble(
     grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise EmptyGridError("t_grid must contain at least one time")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid times must be finite")
     if np.any(grid < 0.0):
         raise NegativeTimeError("grid times must be nonnegative")
     if np.any(np.diff(grid) < 0.0):

@@ -19,13 +19,13 @@ the product lambda_+ lambda_- = kappa gamma + Omega^2, not from the difference
 (a - sqrt(-S^2))/2, which cancels in a bad cavity (kappa >> Omega).  The
 conditional state grown from |010> is column 1 of U(t), and the cavity
 emission probability is a closed form in the same three factors;
-``emission_probabilities`` evaluates both from one set of factors, and the
-single-quantity functions are views of it.  ``_survival_kernel`` gives P0
-and its rate w1 = -dP0/dt from the factors alone, without the amplitudes,
-for the Monte Carlo root finder.
+``emission_probabilities``, the one entry point for the budget, evaluates
+both from one set of factors.  ``_survival_kernel`` gives P0 and its rate
+w1 = -dP0/dt from the factors alone, without the amplitudes, for the Monte
+Carlo root finder.
 
-All time-dependent quantities accept scalar or array times.  Probabilities
-are clipped to [0, 1].  ``emission_probabilities`` clips P0 and P_cav, forms
+All time-dependent quantities accept scalar or array times; a negative or
+NaN time raises NegativeTimeError.  Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0 and P_cav, forms
 P_spon = 1 - P0 - P_cav from the clipped values, and then checks all three
 unclipped quantities in one pass: the largest excess outside [0, 1] is
 computed once, and past round-off (or on NaN) ProbabilityRangeError names the
@@ -48,8 +48,6 @@ from .errors import NegativeTimeError, ProbabilityRangeError
 from .model import (
     ConditionalGenerator,
     Parameters,
-    StateVector,
-    _emission_rates,
     _generator_matrix,
     _require_coupling,
     _split_squared,
@@ -61,7 +59,7 @@ _PROB_TOL = 1e-10
 
 def _check_times(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # also rejects NaN
         raise NegativeTimeError("conditional evolution requires t >= 0")
     return arr
 
@@ -186,11 +184,14 @@ def _survival_kernel(params: Parameters):
 class Propagator:
     """Evaluates U(t) = exp(-M t) for a fixed conditional generator.
 
-    ``method`` is a read-only label of the regime: "series" when the
-    generator is defective (S^2 = 0 exactly), "spectral" otherwise.  Both
-    evaluate the same closed form; the label only names the branch of
-    ``_split_factors`` taken.  Instances are immutable after construction
-    and safe to share across threads.
+    ``method`` is a read-only label of the branch of ``_split_factors``
+    taken: "series" when the generator is defective (S^2 = 0 exactly),
+    "spectral" otherwise.  Both evaluate the same closed form.  "series"
+    names a Taylor fallback that the closed form replaced; the label keeps
+    it because the benchmark's ``propagator.matrix_us_per_point.series``
+    metric and its path counts are keyed on it, so it is renamed together
+    with the benchmark.  Instances are immutable after construction and safe
+    to share across threads.
     """
 
     def __init__(self, generator: ConditionalGenerator):
@@ -210,22 +211,6 @@ class Propagator:
         params = self.generator.params
         return _propagate(params, _split_factors(params, _check_times(t)), self._basis)
 
-    def apply(self, state, t) -> np.ndarray:
-        """Amplitudes of U(t) applied to ``state`` (StateVector or length-3)."""
-        if isinstance(state, StateVector):
-            psi = state.amplitudes
-        else:
-            psi = np.asarray(state)
-            if psi.shape != (3,):
-                raise ValueError("state must have three amplitudes")
-        return self.matrix(t) @ psi
-
-    def survival(self, state, t):
-        """Squared norm of the conditionally evolved state (not clipped)."""
-        amps = self.apply(state, t)
-        out = np.sum(np.abs(amps) ** 2, axis=-1)
-        return float(out) if out.ndim == 0 else out
-
 
 def conditional_state(params: Parameters, t) -> np.ndarray:
     """Closed-form unnormalized conditional state grown from |010>.
@@ -236,34 +221,6 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     Returns real amplitudes of shape t.shape + (3,).
     """
     return _propagate(params, _split_factors(params, _check_times(t)), _projectors(params)[:, :, 1])
-
-
-def no_emission_probability(prop: Propagator, t):
-    """P0(t): probability that no photon has been emitted by time t."""
-    return emission_probabilities(prop.generator.params, t).p0
-
-
-def no_emission_probability_asymptotic(params: Parameters, t):
-    """Late-time form of P0: the surviving dark weight (g_b^2/Omega^2) e^{-2 gamma t}.
-
-    Valid once the bright components have rung down (t >> 1/(kappa+gamma)).
-    """
-    _require_coupling(params)
-    times = _check_times(t)
-    weight = params.g_b**2 / params.coupling_squared
-    return _clipped_probability(weight * np.exp(-2.0 * params.gamma * times))
-
-
-def first_emission_density(prop: Propagator, t):
-    """Waiting-time density w1(t) for the first emission from |010>.
-
-    Sum of the channel rates (``model._emission_rates``) on the conditional
-    state; equals -dP0/dt.
-    """
-    params = prop.generator.params
-    w_cav, w_a, w_b = _emission_rates(params, conditional_state(params, t) ** 2)
-    out = w_cav + w_a + w_b
-    return float(out) if out.ndim == 0 else out
 
 
 def cavity_emission_saturation(params: Parameters) -> float:
@@ -278,22 +235,6 @@ def cavity_emission_saturation(params: Parameters) -> float:
     return float(
         params.kappa * params.g_a**2 / (mean_decay * (g_sq + params.kappa * params.gamma))
     )
-
-
-def cavity_emission_probability(params: Parameters, t):
-    """P_cav(t): probability of a mirror emission by time t."""
-    return emission_probabilities(params, t).p_cav
-
-
-def spontaneous_emission_probability_asymptotic(params: Parameters, t):
-    """Late-time spontaneous-emission budget: 1 - P0_asymptotic - P_cav(inf)."""
-    times = _check_times(t)
-    leftover = (
-        1.0
-        - no_emission_probability_asymptotic(params, times)
-        - cavity_emission_saturation(params)
-    )
-    return _clipped_probability(leftover)
 
 
 @dataclasses.dataclass(frozen=True)

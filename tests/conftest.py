@@ -4,6 +4,22 @@ import pytest
 from darkstate_sim import Parameters
 
 
+# Regimes for the root finder: the paper set, an overdamped cavity, the exact
+# critical point S = 0, a bad cavity and a far worse one, one coupling off,
+# lossless atoms, and kappa << Omega, where P0 is a staircase of ~43 000 steps
+# before the horizon, finer than the start table.
+INVERSION_REGIMES = {
+    "paper": Parameters(1.0, 1.0, 1.0, 1e-3),
+    "overdamped": Parameters(1.0, 1.0, 20.0, 1e-3),
+    "critical": Parameters(3.0, 4.0, 10.0 + 2.0**-10, 2.0**-10),
+    "bad_cavity": Parameters(1.0, 1.0, 1e4, 1e-3),
+    "kappa_1e6": Parameters(1.0, 1.0, 1e6, 1e-3),
+    "gb_zero": Parameters(1.0, 0.0, 1.0, 1e-3),
+    "gamma_zero": Parameters(1.0, 0.6, 1.0, 0.0),
+    "staircase": Parameters(37.1, 63.0, 0.0267, 0.0),
+}
+
+
 @pytest.fixture
 def fig_params() -> Parameters:
     """Working point used for the reference tables: g_a=g_b=kappa=1, gamma=1e-3."""

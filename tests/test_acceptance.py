@@ -13,19 +13,17 @@ import numpy as np
 
 from conftest import random_parameters
 from oracles import central_difference, expm_taylor
+from darkstate_sim import propagator
 from darkstate_sim import (
     ConditionedMixture,
     Parameters,
-    Propagator,
     cavity_emission_saturation,
     conditional_generator,
     conditional_state,
     default_horizon,
     emission_probabilities,
-    first_emission_density,
     mixture_asymptotic,
     mixture_at,
-    no_emission_probability,
     relative_entropy_of_entanglement,
     repump_round,
     run_ensemble,
@@ -94,15 +92,16 @@ def test_criterion_02_probability_budget_sums_to_one():
 
 
 def test_criterion_03_emission_density_is_survival_slope():
+    # The rate w1 that the Monte Carlo root finder reads from its kernel.
     params = _fig_params()
-    prop = Propagator.from_parameters(params)
+    kernel = propagator._survival_kernel(params)
 
     def survival(t):
-        return no_emission_probability(prop, t)
+        return emission_probabilities(params, t).p0
 
     worst = 0.0
     for t in np.linspace(0.01, 15.0, 120):
-        density = first_emission_density(prop, float(t))
+        density = float(kernel(np.array([t]))[1][0])
         slope = -central_difference(survival, float(t), 1.5e-4)
         worst = max(worst, abs(density - slope) / abs(density))
     assert worst < 1e-5
@@ -176,18 +175,18 @@ def test_criterion_08_dark_state_eigenrelation():
     for _ in range(100):
         params = random_parameters(rng)
         gen = conditional_generator(params)
-        dark = gen.dark_state.amplitudes
+        dark = gen.dark_state
         residual = gen.matrix @ dark - params.gamma * dark
         worst = max(worst, float(np.max(np.abs(residual))))
     assert worst < 1e-12
     reference = conditional_generator(
         Parameters(g_a=1.3, g_b=0.4, kappa=1.0)
-    ).dark_state.amplitudes
+    ).dark_state
     for kappa in (0.2, 5.0):
         for gamma in (0.0, 0.3):
             other = conditional_generator(
                 Parameters(g_a=1.3, g_b=0.4, kappa=kappa, gamma=gamma)
-            ).dark_state.amplitudes
+            ).dark_state
             assert np.array_equal(other, reference)
     _record(
         8,

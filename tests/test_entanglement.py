@@ -8,7 +8,6 @@ from darkstate_sim import (
     NegativeTimeError,
     Parameters,
     ZeroProbabilityConditionError,
-    fidelity,
     mixture_asymptotic,
     mixture_at,
     relative_entropy_of_entanglement,
@@ -68,10 +67,6 @@ class TestMixture:
         with pytest.raises(ZeroProbabilityConditionError):
             mixture_asymptotic(params, t)
         assert mixture_asymptotic(params, t, eta=0.8).lam == pytest.approx(0.0)
-
-    def test_fidelity_equals_weight(self):
-        mix = ConditionedMixture(lam=0.73, t=4.0)
-        assert fidelity(mix) == 0.73
 
 
 class TestEntropy:

@@ -3,16 +3,11 @@ import pytest
 
 from conftest import random_parameters
 from darkstate_sim import (
-    ATOM_A,
-    ATOM_B,
-    CAVITY_MODE,
-    BASIS_LABELS,
     DegenerateCouplingError,
     Parameters,
     Propagator,
-    StateVector,
     conditional_generator,
-    initial_state,
+    conditional_state,
 )
 
 
@@ -52,33 +47,36 @@ class TestParameters:
 
 
 class TestStateVector:
-    def test_initial_state_is_atom_a_excitation(self):
-        state = initial_state()
-        assert np.array_equal(state.amplitudes, [0.0, 1.0, 0.0])
-        assert state.norm_squared == 1.0
-        assert BASIS_LABELS[ATOM_A] == "010"
-        assert (CAVITY_MODE, ATOM_A, ATOM_B) == (0, 1, 2)
+    """The model's state vectors: the state grown from |010> and the dark vector."""
+
+    def test_initial_state_is_atom_a_excitation(self, rng):
+        for p in [Parameters(1.0, 1.0, 1.0, 1e-3)] + [random_parameters(rng) for _ in range(10)]:
+            state = conditional_state(p, 0.0)
+            assert np.array_equal(state, [0.0, 1.0, 0.0])
+            assert np.sum(state**2) == 1.0
 
     def test_amplitudes_are_read_only(self):
-        state = initial_state()
+        dark = conditional_generator(Parameters(g_a=0.6, g_b=0.8, kappa=1.0)).dark_state
         with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+            dark[0] = 1.0
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.0]))
+    def test_shape_validation(self, fig_params):
+        # Three real amplitudes, on (|100>, |010>, |001>), per time.
+        assert conditional_state(fig_params, 1.0).shape == (3,)
+        assert conditional_state(fig_params, np.zeros((4, 2))).shape == (4, 2, 3)
+        dark = conditional_generator(fig_params).dark_state
+        assert dark.shape == (3,) and dark.dtype == np.float64
 
-    def test_total_weight_capped_at_one(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([0.0, 1.0, 0.5]))
-        StateVector(np.array([0.0, 0.6, 0.7]))  # 0.85 total: fine
+    def test_total_weight_capped_at_one(self, rng):
+        times = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 200)))
+        for _ in range(20):
+            weight = np.sum(conditional_state(random_parameters(rng), times) ** 2, axis=-1)
+            assert np.all(weight <= 1.0 + 1e-12)
 
-    def test_normalized(self):
-        state = StateVector(np.array([0.3, 0.4, 0.0]))
-        unit = state.normalized()
-        assert unit.norm_squared == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(ValueError):
-            StateVector(np.zeros(3)).normalized()
+    def test_normalized(self, rng):
+        for _ in range(20):
+            dark = conditional_generator(random_parameters(rng)).dark_state
+            assert np.sum(dark**2) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestInteraction:
@@ -107,7 +105,7 @@ class TestConditionalGenerator:
         # couplings (0.6, 0.8): the dark direction is (0, -0.8, 0.6) up to
         # phase; the stored convention flips it to (0, 0.8, -0.6).
         gen = conditional_generator(Parameters(g_a=0.6, g_b=0.8, kappa=1.0))
-        dark = gen.dark_state.amplitudes
+        dark = gen.dark_state
         assert np.allclose(dark, [0.0, 0.8, -0.6], atol=1e-15)
         raw = np.array([0.0, -0.8, 0.6])
         overlap = abs(np.vdot(raw, dark))
@@ -115,7 +113,7 @@ class TestConditionalGenerator:
 
     def test_dark_state_single_coupling(self):
         gen = conditional_generator(Parameters(g_a=1.0, g_b=0.0, kappa=2.0))
-        assert np.allclose(gen.dark_state.amplitudes, [0.0, 0.0, 1.0], atol=1e-15)
+        assert np.allclose(gen.dark_state, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_eigenvalues_lossless_atoms(self):
         # gamma = 0, g_a = g_b = kappa = 1: spectrum of M is {0, (1 +/- i sqrt(7))/2},
@@ -140,12 +138,12 @@ class TestConditionalGenerator:
     def test_dark_state_independent_of_loss_rates(self):
         reference = conditional_generator(
             Parameters(g_a=0.7, g_b=1.9, kappa=1.0)
-        ).dark_state.amplitudes
+        ).dark_state
         for kappa in (0.3, 2.0, 7.0):
             for gamma in (0.0, 0.2):
                 dark = conditional_generator(
                     Parameters(g_a=0.7, g_b=1.9, kappa=kappa, gamma=gamma)
-                ).dark_state.amplitudes
+                ).dark_state
                 assert np.array_equal(dark, reference)
 
     def test_defective_spectrum_flagged(self):

@@ -5,24 +5,16 @@ import numpy as np
 import pytest
 
 from darkstate_sim import (
-    Channel,
     EmptyGridError,
-    InvalidUniformError,
     NegativeTimeError,
     Parameters,
-    Propagator,
-    StateVector,
     ZeroRateError,
-    classify_jump,
     default_horizon,
     emission_probabilities,
-    initial_state,
-    no_emission_probability,
     run_ensemble,
-    sample_waiting_time,
     simulate_trajectories,
-    simulate_trajectory,
 )
+from conftest import INVERSION_REGIMES
 from darkstate_sim import montecarlo
 
 # Conditional channel probabilities by t = 50 for g_a = g_b = kappa = 1,
@@ -39,113 +31,131 @@ CHI2_2DF_1PC = 9.21034
 
 CHUNK = 16_384
 
-# Regimes for the root finder: the paper set, an overdamped cavity, the exact
-# critical point S = 0, a bad cavity and a far worse one, one coupling off,
-# lossless atoms, and kappa << Omega, where P0 is a staircase of ~43 000 steps
-# before the horizon, finer than the start table.
-INVERSION_REGIMES = {
-    "paper": Parameters(1.0, 1.0, 1.0, 1e-3),
-    "overdamped": Parameters(1.0, 1.0, 20.0, 1e-3),
-    "critical": Parameters(3.0, 4.0, 10.0 + 2.0**-10, 2.0**-10),
-    "bad_cavity": Parameters(1.0, 1.0, 1e4, 1e-3),
-    "kappa_1e6": Parameters(1.0, 1.0, 1e6, 1e-3),
-    "gb_zero": Parameters(1.0, 0.0, 1.0, 1e-3),
-    "gamma_zero": Parameters(1.0, 0.6, 1.0, 0.0),
-    "staircase": Parameters(37.1, 63.0, 0.0267, 0.0),
-}
+
+def _table(params, horizon):
+    """The start table of ``simulate_trajectories``: times, P0 and w1."""
+    table_t = np.concatenate(
+        ([0.0], np.geomspace(montecarlo._TABLE_START * horizon, horizon, montecarlo._TABLE_POINTS))
+    )
+    table_t[-1] = horizon
+    kernel = montecarlo._survival_kernel(params)
+    return kernel, table_t, *kernel(table_t)
+
+
+def _roots(params, u):
+    """Jump times for the uniforms ``u``, by the batch root finder alone."""
+    kernel, *table = _table(params, default_horizon(params))
+    bracket = montecarlo._bracket_from_table(*table, np.asarray(u, dtype=float))
+    return montecarlo._invert_survival(kernel, *bracket)
+
+
+def _waiting_draws(seed, count):
+    """The waiting-time uniforms u of trajectories 0 .. count-1 under ``seed``."""
+    draws = np.random.Generator(np.random.Philox(key=seed, counter=0)).random((count, 4))
+    return 1.0 - draws[:, 0]
 
 
 class TestWaitingTime:
     def test_u_one_maps_to_time_zero(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        assert sample_waiting_time(prop, initial_state(), 1.0) == 0.0
+        # u = 1 starts at t = 0 exactly and the inversion leaves it there,
+        # also beside roots that do move.
+        for params in (fig_params, INVERSION_REGIMES["gamma_zero"]):
+            kernel, *table = _table(params, default_horizon(params))
+            u = np.array([1.0, 0.5, 1.0])
+            bracket = montecarlo._bracket_from_table(*table, u)
+            assert bracket[3][0] == bracket[3][2] == 0.0
+            times = montecarlo._invert_survival(kernel, *bracket)
+            assert times[0] == times[2] == 0.0
+            assert times[1] > 0.0
 
     def test_root_self_consistency(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        for u in (0.9, 0.6, 0.47):
-            t = sample_waiting_time(prop, initial_state(), u)
-            assert t is not None and t > 0.0
-            assert abs(no_emission_probability(prop, t) - u) < 1e-9
+        u = np.array([0.9, 0.6, 0.47])
+        times = _roots(fig_params, u)
+        assert np.all(times > 0.0)
+        p0 = emission_probabilities(fig_params, times).p0
+        assert np.max(np.abs(p0 - u) / u) <= 1e-13
 
     def test_no_jump_when_dark_weight_survives(self):
-        # Lossless atoms: half the weight is trapped, u = 0.4 never fires.
-        p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)
-        prop = Propagator.from_parameters(p)
-        assert sample_waiting_time(prop, initial_state(), 0.4) is None
-        t = sample_waiting_time(prop, initial_state(), 0.6)
-        assert t is not None
-
-    @pytest.mark.parametrize("u", [0.0, -0.3, 1.0000001, float("nan")])
-    def test_invalid_uniform_rejected(self, fig_params, u):
-        prop = Propagator.from_parameters(fig_params)
-        with pytest.raises(InvalidUniformError):
-            sample_waiting_time(prop, initial_state(), u)
+        # Lossless atoms trap the dark weight: a trajectory does not jump
+        # (NaN time, code -1) exactly when its u is at most P0(horizon).
+        for params in (Parameters(g_a=1.0, g_b=1.0, kappa=1.0), INVERSION_REGIMES["gamma_zero"]):
+            horizon = default_horizon(params)
+            times, codes, detected = simulate_trajectories(params, 31, 0, 4096)
+            u = _waiting_draws(31, 4096)
+            stays = u <= emission_probabilities(params, horizon).p0
+            assert 0 < np.count_nonzero(stays) < stays.size
+            assert np.array_equal(np.isnan(times), stays)
+            assert np.array_equal(codes == -1, stays)
+            assert not np.any(detected[stays])
+            assert np.all(times[~stays] <= horizon)
 
     def test_bad_horizon_rejected(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
         with pytest.raises(NegativeTimeError):
-            sample_waiting_time(prop, initial_state(), 0.5, horizon=-1.0)
+            simulate_trajectories(fig_params, 42, 0, 4, horizon=-1.0)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, fig_params, horizon):
+        # Unchecked, NaN and inf passed the positivity test and every
+        # trajectory came back as no jump.
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_trajectories(fig_params, 42, 0, 4, horizon=horizon)
 
     def test_default_horizon(self, fig_params):
         assert default_horizon(fig_params) == 15.0 / 1e-3
         assert default_horizon(Parameters(1.0, 1.0, 2.0)) == 25.0
 
 
+def _state_weights(amplitudes):
+    return np.asarray(amplitudes, dtype=float)[np.newaxis] ** 2
+
+
 class TestClassifyJump:
+    """The channel pick of ``simulate_trajectories`` (``montecarlo._classify``)."""
+
+    V = np.array([0.0, 0.3, 0.5, 0.6, 0.999, 0.9999])
+
     def test_lossless_atoms_always_cavity(self):
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)
-        prop = Propagator.from_parameters(p)
-        state = StateVector(np.array([0.6, 0.5, 0.3]))
-        for v in (0.0, 0.5, 0.999):
-            assert classify_jump(prop, state, v) is Channel.CAVITY
+        weights = np.repeat(_state_weights([0.6, 0.5, 0.3]), self.V.size, axis=0)
+        codes = montecarlo._classify(p, weights, self.V)
+        assert np.array_equal(codes, np.zeros(self.V.size))
+        # At the jumps of a batch too: every lossless jump leaves by the mirrors.
+        _, batch_codes, _ = simulate_trajectories(p, 8, 0, 2000)
+        assert set(np.unique(batch_codes)) == {-1, 0}
 
     def test_zero_cavity_rate_never_cavity(self):
         # Stand-in with kappa = 0 (the library itself requires kappa > 0):
         # the cavity weight drops out of the thresholds entirely.
-        fake = SimpleNamespace(
-            generator=SimpleNamespace(params=SimpleNamespace(kappa=0.0, gamma=1.0))
-        )
-        state = StateVector(np.array([0.8, 0.4, 0.4]))
-        channels = {classify_jump(fake, state, v) for v in (0.0, 0.3, 0.6, 0.9999)}
-        assert Channel.CAVITY not in channels
-        assert channels <= {Channel.SPON_A, Channel.SPON_B}
+        fake = SimpleNamespace(kappa=0.0, gamma=1.0)
+        weights = np.repeat(_state_weights([0.8, 0.4, 0.4]), self.V.size, axis=0)
+        codes = montecarlo._classify(fake, weights, self.V)
+        assert set(codes.tolist()) == {1, 2}
+        assert np.array_equal(codes, np.where(self.V < 0.5, 1, 2))
 
     def test_threshold_order(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        state = StateVector(np.array([0.5, 0.5, 0.5]))
+        weights = _state_weights([0.5, 0.5, 0.5])
         w_cav = 2.0 * fig_params.kappa * 0.25
         w_a = 2.0 * fig_params.gamma * 0.25
         total = w_cav + 2.0 * w_a
-        assert classify_jump(prop, state, w_cav / total - 1e-9) is Channel.CAVITY
-        assert classify_jump(prop, state, w_cav / total + 1e-9) is Channel.SPON_A
-        assert classify_jump(prop, state, (w_cav + w_a) / total + 1e-9) is Channel.SPON_B
+        v = np.array([w_cav / total - 1e-9, w_cav / total + 1e-9, (w_cav + w_a) / total + 1e-9])
+        codes = montecarlo._classify(fig_params, np.repeat(weights, 3, axis=0), v)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [0, 1, 2]
 
     def test_zero_total_rate_raises(self):
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)  # gamma = 0
-        prop = Propagator.from_parameters(p)
         with pytest.raises(ZeroRateError):
-            classify_jump(prop, initial_state(), 0.5)
-
-    def test_invalid_uniform_rejected(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        with pytest.raises(InvalidUniformError):
-            classify_jump(prop, initial_state(), -0.1)
-        with pytest.raises(InvalidUniformError):
-            classify_jump(prop, initial_state(), 1.1)
+            montecarlo._classify(p, _state_weights([0.0, 1.0, 0.0]), np.array([0.5]))
 
 
 class TestTrajectories:
     def test_single_matches_batch_element(self, fig_params):
         times, codes, detected = simulate_trajectories(fig_params, 42, 0, 16)
         for index in (0, 7, 15):
-            single = simulate_trajectory(fig_params, 42, index)
-            if math.isnan(times[index]):
-                assert single.first_jump_time is None
-                assert single.channel is Channel.NONE
-            else:
-                assert single.first_jump_time == times[index]
-                assert single.channel is not Channel.NONE
-            assert single.detected == detected[index]
+            single = simulate_trajectories(fig_params, 42, index, 1)
+            assert np.array_equal(single[0], times[index : index + 1], equal_nan=True)
+            assert np.array_equal(single[1], codes[index : index + 1])
+            assert np.array_equal(single[2], detected[index : index + 1])
 
     def test_partition_independence(self, fig_params):
         whole = simulate_trajectories(fig_params, 42, 0, 64)
@@ -156,12 +166,10 @@ class TestTrajectories:
         assert np.array_equal(whole[2], np.concatenate([first[2], second[2]]))
 
     def test_sampled_times_satisfy_survival_law(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
         times, codes, _ = simulate_trajectories(fig_params, 11, 0, 64, horizon=50.0)
         jumped = codes >= 0
-        for t in times[jumped][:10]:
-            p0 = no_emission_probability(prop, float(t))
-            assert 0.0 < p0 < 1.0  # root strictly inside the bracket
+        p0 = emission_probabilities(fig_params, times[jumped][:10]).p0
+        assert np.all((0.0 < p0) & (p0 < 1.0))  # root strictly inside the bracket
 
     def test_cavity_fraction_matches_budget(self, fig_params):
         times, codes, _ = simulate_trajectories(fig_params, 123, 0, 20_000, horizon=50.0)
@@ -287,19 +295,15 @@ class TestInversion:
 
     @pytest.mark.parametrize("name", ["paper", "gamma_zero"])
     def test_single_root_matches_batch(self, name):
-        # sample_waiting_time and the batches share one inversion routine.
+        # A root inverted on its own is the root of the batch, bit for bit.
         params = INVERSION_REGIMES[name]
-        prop = Propagator.from_parameters(params)
         times, codes, _ = simulate_trajectories(params, 5, 0, 64)
-        draws = np.random.Generator(np.random.Philox(key=5, counter=0)).random((64, 4))
+        u = _waiting_draws(5, 64)
         jumped = np.flatnonzero(codes >= 0)[:12]
         for i in jumped:
-            u = float(1.0 - draws[i, 0])
-            single = sample_waiting_time(prop, initial_state(), u)
-            p0_single, p0_batch = emission_probabilities(params, [single, times[i]]).p0
-            assert abs(p0_single - u) <= 1e-13 * u
-            assert abs(p0_batch - u) <= 1e-13 * u
-            assert abs(p0_single - p0_batch) <= 1e-13 * u
+            single = _roots(params, u[i : i + 1])
+            assert single[0] == times[i]
+            assert abs(emission_probabilities(params, single[0]).p0 - u[i]) <= 1e-13 * u[i]
 
 
 class TestEnsemble:
@@ -374,6 +378,13 @@ class TestEnsemble:
             run_ensemble(fig_params, 10, np.array([2.0, 1.0]), seed=0)
         with pytest.raises(ValueError):
             run_ensemble(fig_params, 0, np.array([1.0]), seed=0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_grid_rejected(self, fig_params, bad):
+        # Unchecked, inf tallied nobody as jumped by t = 1, and NaN was
+        # tallied as t -> infinity.
+        with pytest.raises(ValueError, match="grid times must be finite"):
+            run_ensemble(fig_params, 200, [1.0, bad], 3)
 
     def test_grid_beyond_default_horizon_extends_sampling(self):
         # Lossless atoms keep 50% survival: grid times past the default

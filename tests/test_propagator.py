@@ -12,26 +12,22 @@ from hypothesis import strategies as st
 
 import darkstate_sim
 from darkstate_sim import propagator
-from conftest import random_parameters
+from conftest import INVERSION_REGIMES, random_parameters
 from oracles import adaptive_simpson, central_difference, expm_decimal, expm_taylor
 from darkstate_sim import (
     DegenerateCouplingError,
     NegativeTimeError,
     Parameters,
     Propagator,
-    cavity_emission_probability,
     cavity_emission_saturation,
     conditional_generator,
     conditional_state,
+    default_horizon,
     emission_probabilities,
-    first_emission_density,
-    initial_state,
+    mixture_asymptotic,
     mixture_at,
-    no_emission_probability,
-    no_emission_probability_asymptotic,
     ProbabilityRangeError,
     run_ensemble,
-    spontaneous_emission_probability_asymptotic,
 )
 
 # Frozen reference values for the working point g_a = g_b = kappa = 1,
@@ -81,6 +77,23 @@ class TestPropagatorMatrix:
             prop.matrix(-0.5)
         with pytest.raises(NegativeTimeError):
             conditional_state(fig_params, [0.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p, t: conditional_state(p, t),
+            lambda p, t: Propagator.from_parameters(p).matrix(t),
+            lambda p, t: emission_probabilities(p, t),
+            lambda p, t: mixture_asymptotic(p, t),
+        ],
+        ids=["conditional_state", "matrix", "emission_probabilities", "mixture_asymptotic"],
+    )
+    @pytest.mark.parametrize("t", [float("nan"), [1.0, float("nan")]], ids=["scalar", "array"])
+    def test_nan_time_rejected(self, fig_params, entry, t):
+        # NaN is not a time: unchecked, it gave NaN arrays, or a misleading
+        # range error from the budget.
+        with pytest.raises(NegativeTimeError):
+            entry(fig_params, t)
 
     def test_scipy_cross_check(self, rng):
         scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -134,79 +147,95 @@ class TestConditionalState:
                 assert np.max(np.abs(conditional_state(p, t) - oracle)) < 1e-12
 
 
+def _p0(params, t):
+    return emission_probabilities(params, t).p0
+
+
+def _p_cav(params, t):
+    return emission_probabilities(params, t).p_cav
+
+
 class TestNoEmissionProbability:
     def test_certain_at_time_zero(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        assert no_emission_probability(prop, 0.0) == 1.0
+        assert _p0(fig_params, 0.0) == 1.0
 
     def test_reference_values(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        assert no_emission_probability(prop, 10.0) == pytest.approx(P0_AT_10, abs=1e-12)
-        assert no_emission_probability(prop, 50.0) == pytest.approx(P0_AT_50, abs=1e-12)
+        assert _p0(fig_params, 10.0) == pytest.approx(P0_AT_10, abs=1e-12)
+        assert _p0(fig_params, 50.0) == pytest.approx(P0_AT_50, abs=1e-12)
 
     def test_asymptotic_form_close_after_transient(self, fig_params):
-        asym = no_emission_probability_asymptotic(fig_params, 10.0)
+        # At eta = 0 the post-transient mixture weight is the asymptotic P0.
+        asym = mixture_asymptotic(fig_params, 10.0, eta=0.0).lam
         assert asym == pytest.approx(0.4900993366533776, abs=1e-12)
         assert abs(P0_AT_10 - asym) < 1e-4
 
     def test_monotone_nonincreasing(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-        p0 = no_emission_probability(prop, np.linspace(0.0, 30.0, 301))
+        p0 = _p0(fig_params, np.linspace(0.0, 30.0, 301))
         assert np.all(np.diff(p0) <= 1e-12)
 
     def test_lossless_atoms_floor_at_dark_weight(self):
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)
-        prop = Propagator.from_parameters(p)
-        assert no_emission_probability(prop, 80.0) == pytest.approx(0.5, abs=1e-12)
+        assert _p0(p, 80.0) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestFirstEmissionDensity:
+    """The (P0, w1) kernel of the Monte Carlo root finder, ``_survival_kernel``."""
+
     def test_initial_rate_is_spontaneous(self, fig_params):
         # At t = 0 the photon is on atom a: only the 2*gamma channel is open.
-        prop = Propagator.from_parameters(fig_params)
-        assert first_emission_density(prop, 0.0) == pytest.approx(
-            2.0 * fig_params.gamma, abs=1e-15
-        )
+        p0, w1 = propagator._survival_kernel(fig_params)(np.array([0.0]))
+        assert p0[0] == 1.0
+        assert w1[0] == pytest.approx(2.0 * fig_params.gamma, abs=1e-15)
 
     def test_equals_negative_survival_slope(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
-
-        def p0(t):
-            return no_emission_probability(prop, t)
-
+        kernel = propagator._survival_kernel(fig_params)
         for t in np.linspace(0.01, 15.0, 40):
-            density = first_emission_density(prop, float(t))
-            slope = -central_difference(p0, float(t), 1.5e-4)
-            assert density == pytest.approx(slope, rel=1e-5)
+            _, density = kernel(np.array([t]))
+            slope = -central_difference(lambda x: _p0(fig_params, x), float(t), 1.5e-4)
+            assert density[0] == pytest.approx(slope, rel=1e-5)
 
     def test_array_times(self, fig_params):
-        prop = Propagator.from_parameters(fig_params)
+        kernel = propagator._survival_kernel(fig_params)
         ts = np.linspace(0.01, 15.0, 40)
-        density = first_emission_density(prop, ts)
-        assert density.shape == ts.shape
-        assert isinstance(first_emission_density(prop, 0.5), float)
-        assert np.array_equal(density, [first_emission_density(prop, float(t)) for t in ts])
-        slope = -central_difference(lambda t: no_emission_probability(prop, t), ts, 1.5e-4)
+        p0, density = kernel(ts)
+        assert p0.shape == density.shape == ts.shape
+        singles = [kernel(np.array([t])) for t in ts]
+        assert np.array_equal(p0, [one[0][0] for one in singles])
+        assert np.array_equal(density, [one[1][0] for one in singles])
+        slope = -central_difference(lambda t: _p0(fig_params, t), ts, 1.5e-4)
         np.testing.assert_allclose(density, slope, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_kernel_p0_matches_budget(self, name):
+        # The root finder inverts the same P0 that the budget reports, on
+        # the Monte Carlo's own time range.
+        params = INVERSION_REGIMES[name]
+        horizon = default_horizon(params)
+        ts = np.concatenate(([0.0], np.geomspace(1e-9 * horizon, horizon, 4096)))
+        p0, _ = propagator._survival_kernel(params)(ts)
+        budget = _p0(params, ts)
+        # Relative digits exist only for normal floats; past them (the
+        # bright-only gb_zero state underflows) both must be below the range.
+        normal = budget >= np.finfo(float).tiny
+        assert np.all(np.abs(p0 - budget)[normal] <= 1e-14 * budget[normal])
+        assert np.all(p0[~normal] < np.finfo(float).tiny)
 
 
 class TestCavityEmissionProbability:
     def test_zero_at_time_zero(self, fig_params):
-        assert cavity_emission_probability(fig_params, 0.0) == 0.0
+        assert _p_cav(fig_params, 0.0) == 0.0
 
     def test_saturation_value(self, fig_params):
         sat = cavity_emission_saturation(fig_params)
         assert sat == pytest.approx(PCAV_SATURATION, abs=1e-15)
-        assert cavity_emission_probability(fig_params, 50.0) == pytest.approx(
-            PCAV_SATURATION, abs=1e-12
-        )
+        assert _p_cav(fig_params, 50.0) == pytest.approx(PCAV_SATURATION, abs=1e-12)
 
     def test_matches_quadrature_of_cavity_rate(self, fig_params):
         def rate(t):
             return 2.0 * fig_params.kappa * conditional_state(fig_params, t)[0] ** 2
 
         integral = adaptive_simpson(rate, 0.0, 5.0, tol=1e-12)
-        closed = cavity_emission_probability(fig_params, 5.0)
+        closed = _p_cav(fig_params, 5.0)
         assert closed == pytest.approx(integral, abs=1e-8)
 
     def test_quadrature_random_parameters(self, rng):
@@ -217,10 +246,10 @@ class TestCavityEmissionProbability:
                 return 2.0 * p.kappa * conditional_state(p, t)[0] ** 2
 
             integral = adaptive_simpson(rate, 0.0, 3.0, tol=1e-12)
-            assert cavity_emission_probability(p, 3.0) == pytest.approx(integral, abs=1e-8)
+            assert _p_cav(p, 3.0) == pytest.approx(integral, abs=1e-8)
 
     def test_monotone_nondecreasing(self, fig_params):
-        p_cav = cavity_emission_probability(fig_params, np.linspace(0.0, 30.0, 301))
+        p_cav = _p_cav(fig_params, np.linspace(0.0, 30.0, 301))
         assert np.all(np.diff(p_cav) >= -1e-12)
 
     def test_defective_split_branch(self):
@@ -232,7 +261,7 @@ class TestCavityEmissionProbability:
             return 2.0 * p.kappa * conditional_state(p, t)[0] ** 2
 
         integral = adaptive_simpson(rate, 0.0, 2.0, tol=1e-12)
-        assert cavity_emission_probability(p, 2.0) == pytest.approx(integral, abs=1e-8)
+        assert _p_cav(p, 2.0) == pytest.approx(integral, abs=1e-8)
 
 
 class TestEmissionBudget:
@@ -256,7 +285,8 @@ class TestEmissionBudget:
     def test_spontaneous_asymptotic_complement(self, fig_params):
         ts = np.linspace(10.0, 60.0, 120)
         exact = emission_probabilities(fig_params, ts).p_spon
-        asym = spontaneous_emission_probability_asymptotic(fig_params, ts)
+        # Late-time spontaneous budget: 1 - asymptotic P0 - P_cav(inf).
+        asym = 1.0 - mixture_asymptotic(fig_params, ts, eta=0.0).lam - cavity_emission_saturation(fig_params)
         assert np.max(np.abs(exact - asym)) < 1e-6
 
     def test_spontaneous_split_matches_quadrature(self, fig_params):
@@ -316,9 +346,9 @@ class TestDecimalOracle:
         # lambda_+ would lose digits if taken as the difference (a - sigma)/2.
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1e6, gamma=1e-3)
         reference = _decimal_survival(p, 1e3)
-        prop = Propagator.from_parameters(p)
-        assert _relative_error(no_emission_probability(prop, 1e3), reference) <= 1e-11
         assert _relative_error(emission_probabilities(p, 1e3).p0, reference) <= 1e-11
+        p0, _ = propagator._survival_kernel(p)(np.array([1e3]))
+        assert _relative_error(p0[0], reference) <= 1e-11
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
