@@ -9,15 +9,17 @@ Subcommands:
 * ``trajectories``   Monte Carlo frequency estimates of the emission budget
 * ``repump``         purification ledger of repump-and-wait rounds
 
-All tables are CSV with a header row, 12-significant-digit values, and LF
-line endings; ``--out -`` (the default) writes to stdout.  Runs are fully
-deterministic for a fixed seed, independent of the worker count.
+Each subcommand is a function ``cmd_*`` from the parsed arguments to a table,
+``(header, columns)``, optionally followed by a note for stderr; it does no
+I/O.  ``main`` writes the table, then the note, and maps errors to exit
+codes.  All tables are CSV with a header row, 12-significant-digit values,
+and LF line endings; ``--out -`` (the default) writes to stdout.  Runs are
+fully deterministic for a fixed seed, independent of the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -55,40 +57,6 @@ def _write_table(stream, header: list[str], columns) -> None:
         stream.write((row_template * len(block)) % tuple(block.ravel().tolist()))
 
 
-@contextlib.contextmanager
-def _output_stream(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="\n") as handle:
-            yield handle
-
-
-def _add_rate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ga", type=float, default=1.0, help="coupling of atom a (default 1)")
-    parser.add_argument("--gb", type=float, default=1.0, help="coupling of atom b (default 1)")
-    parser.add_argument("--kappa", type=float, default=1.0, help="cavity decay rate (default 1)")
-    parser.add_argument(
-        "--gamma", type=float, default=1e-3, help="spontaneous decay rate (default 1e-3)"
-    )
-
-
-def _add_output_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="-", help="output CSV path, or - for stdout (default -)")
-
-
-def _add_common_arguments(parser: argparse.ArgumentParser, tmax_default: float) -> None:
-    _add_rate_arguments(parser)
-    parser.add_argument(
-        "--tmax", type=float, default=tmax_default,
-        help=f"end of the time grid (default {tmax_default:g})",
-    )
-    parser.add_argument(
-        "--steps", type=int, default=500, help="number of grid points (default 500)"
-    )
-    _add_output_argument(parser)
-
-
 def _parameters(args, eta: float = 1.0) -> Parameters:
     return Parameters(g_a=args.ga, g_b=args.gb, kappa=args.kappa, gamma=args.gamma, eta=eta)
 
@@ -115,93 +83,63 @@ def _grid_post_transient(args, kappa: float) -> np.ndarray:
     return np.linspace(start, args.tmax, args.steps)
 
 
-def cmd_amplitudes(args) -> int:
+def cmd_amplitudes(args):
     params = _parameters(args)
     grid = _grid_from_zero(args)
-    populations = conditional_state(params, grid) ** 2
-    with _output_stream(args.out) as stream:
-        _write_table(stream, ["t", "P_100", "P_010", "P_001"], [grid, *populations.T])
-    return 0
+    return ["t", "P_100", "P_010", "P_001"], [grid, *(conditional_state(params, grid) ** 2).T]
 
 
-def cmd_probabilities(args) -> int:
+def cmd_probabilities(args):
     params = _parameters(args)
     grid = _grid_from_zero(args)
     triple = emission_probabilities(params, grid)
-    columns = [grid, triple.p0, triple.p_cav, triple.p_spon]
-    with _output_stream(args.out) as stream:
-        _write_table(stream, ["t", "P0", "Pcav", "Pspon"], columns)
-    return 0
+    return ["t", "P0", "Pcav", "Pspon"], [grid, triple.p0, triple.p_cav, triple.p_spon]
 
 
-def cmd_fidelity(args) -> int:
+def cmd_fidelity(args):
     params = _parameters(args)
     grid = _grid_post_transient(args, params.kappa)
     columns = [mixture_asymptotic(params, grid, eta=eta).lam for eta in args.eta]
-    header = ["t"] + [f"F_eta{eta:g}" for eta in args.eta]
-    with _output_stream(args.out) as stream:
-        _write_table(stream, header, [grid, *columns])
-    return 0
+    return ["t"] + [f"F_eta{eta:g}" for eta in args.eta], [grid, *columns]
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args):
     params = _parameters(args)
     grid = _grid_post_transient(args, params.kappa)
     entropy = relative_entropy_of_entanglement(mixture_asymptotic(params, grid, eta=args.eta))
-    with _output_stream(args.out) as stream:
-        _write_table(stream, ["t", "E"], [grid, entropy])
-    return 0
+    return ["t", "E"], [grid, entropy]
 
 
-def cmd_trajectories(args) -> int:
+def cmd_trajectories(args):
     if args.trajectories < 1:
         raise ValueError("need at least 1 trajectory")
     params = _parameters(args, eta=args.eta)
     grid = _grid_from_zero(args)
     estimate = run_ensemble(params, args.trajectories, grid, args.seed)
     exact = emission_probabilities(params, grid)
-
-    def _z_scores(hat, ref):
-        # The standard error comes from the closed form: the estimate's own
-        # sqrt(p_hat (1 - p_hat) / n) vanishes when p_hat is 0 or 1.
-        ref = np.asarray(ref)
-        err = np.sqrt(ref * (1.0 - ref) / args.trajectories)
-        diff = np.abs(hat - ref)
-        safe = np.where(err > 0.0, err, 1.0)
-        return np.where(err > 0.0, diff / safe, np.where(diff < 1e-12, 0.0, np.inf))
-
-    z_max = max(
-        float(np.max(_z_scores(estimate.p0_hat, exact.p0))),
-        float(np.max(_z_scores(estimate.p_cav_hat, exact.p_cav))),
-        float(np.max(_z_scores(estimate.p_spon_hat, exact.p_spon))),
-    )
     columns = [
-        grid,
-        estimate.p0_hat,
-        estimate.p_cav_hat,
-        estimate.p_spon_hat,
-        estimate.p0_stderr,
-        estimate.p_cav_stderr,
-        estimate.p_spon_stderr,
+        grid, estimate.p0_hat, estimate.p_cav_hat, estimate.p_spon_hat,
+        estimate.p0_stderr, estimate.p_cav_stderr, estimate.p_spon_stderr,
     ]
-    with _output_stream(args.out) as stream:
-        _write_table(
-            stream,
-            ["t", "p0_hat", "pcav_hat", "pspon_hat", "p0_stderr", "pcav_stderr", "pspon_stderr"],
-            columns,
-        )
-    print(
+    # The standard error comes from the closed form: the estimate's own
+    # sqrt(p_hat (1 - p_hat) / n) vanishes when p_hat is 0 or 1.
+    ref = np.stack([exact.p0, exact.p_cav, exact.p_spon])
+    err = np.sqrt(ref * (1.0 - ref) / args.trajectories)
+    diff = np.abs(np.stack(columns[1:4]) - ref)
+    z = np.where(diff < 1e-12, 0.0, np.inf)
+    np.divide(diff, err, out=z, where=err > 0.0)
+    header = ["t", "p0_hat", "pcav_hat", "pspon_hat", "p0_stderr", "pcav_stderr", "pspon_stderr"]
+    note = (
         f"trajectories: n={args.trajectories} seed={args.seed} "
-        f"max |z| vs closed form = {z_max:.3f}",
-        file=sys.stderr,
+        f"max |z| vs closed form = {float(np.max(z)):.3f}"
     )
-    return 0
+    return header, columns, note
 
 
-def cmd_repump(args) -> int:
+def cmd_repump(args):
     if args.rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    params = _parameters(args, eta=args.eta)
+    params = _parameters(args, eta=args.eta)  # validates the rates even with --lambda0
     if args.lambda0 is None:
         mixture = mixture_asymptotic(params, 0.0)
     else:
@@ -210,17 +148,56 @@ def cmd_repump(args) -> int:
     for round_index in range(1, args.rounds + 1):
         result = repump_round(mixture, args.p_detect)
         mixture = result.mixture
-        rows.append(
-            (
-                round_index,
-                result.click_probability,
-                mixture.lam,
-                relative_entropy_of_entanglement(mixture),
-            )
-        )
-    with _output_stream(args.out) as stream:
-        _write_table(stream, ["round", "click_probability", "lambda", "entropy"], zip(*rows))
-    return 0
+        entropy = relative_entropy_of_entanglement(mixture)
+        rows.append((round_index, result.click_probability, mixture.lam, entropy))
+    return ["round", "click_probability", "lambda", "entropy"], zip(*rows)
+
+
+# Argument specs, (flag, add_argument keywords), in --help order.
+_RATES = (
+    ("--ga", dict(type=float, default=1.0, help="coupling of atom a (default 1)")),
+    ("--gb", dict(type=float, default=1.0, help="coupling of atom b (default 1)")),
+    ("--kappa", dict(type=float, default=1.0, help="cavity decay rate (default 1)")),
+    ("--gamma", dict(type=float, default=1e-3, help="spontaneous decay rate (default 1e-3)")),
+)
+_OUT = ("--out", dict(default="-", help="output CSV path, or - for stdout (default -)"))
+_ETA = ("--eta", dict(type=float, default=1.0, help="detector efficiency (default 1.0)"))
+_ETAS = ("--eta", dict(type=float, nargs="+", default=(1.0, 0.8),
+                       help="detector efficiencies, one column each (default: 1.0 0.8)"))
+
+
+def _grid_arguments(tmax: float) -> tuple:
+    return _RATES + (
+        ("--tmax", dict(type=float, default=tmax, help=f"end of the time grid (default {tmax:g})")),
+        ("--steps", dict(type=int, default=500, help="number of grid points (default 500)")),
+        _OUT,
+    )
+
+
+# (name, help, command, arguments) per subcommand, in --help order.
+_COMMANDS = (
+    ("amplitudes", "unnormalized no-jump populations on a time grid", cmd_amplitudes,
+     _grid_arguments(15.0)),
+    ("probabilities", "closed-form emission budget (P0, Pcav, Pspon)", cmd_probabilities,
+     _grid_arguments(15.0)),
+    ("fidelity", "dark-pair weight of the no-click mixture per eta", cmd_fidelity,
+     _grid_arguments(500.0) + (_ETAS,)),
+    ("entropy", "relative entropy of entanglement of the no-click mixture", cmd_entropy,
+     _grid_arguments(500.0) + (_ETA,)),
+    ("trajectories", "Monte Carlo frequency estimates of the emission budget", cmd_trajectories,
+     _grid_arguments(15.0) + (
+         ("--trajectories", dict(type=int, default=10000, help="ensemble size (default 10000)")),
+         ("--seed", dict(type=int, default=42, help="master seed (default 42)")),
+         _ETA)),
+    ("repump", "repump-and-wait purification ledger", cmd_repump, _RATES + (
+        _ETA,
+        ("--lambda0", dict(type=float, default=None,
+                           help="initial dark-pair weight (default: post-transient onset value)")),
+        ("--p-detect", dict(type=float, default=0.9,
+                            help="repump click probability for the ground component (default 0.9)")),
+        ("--rounds", dict(type=int, default=5, help="number of rounds (default 5)")),
+        _OUT)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,71 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
         "of two atoms in a leaky cavity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "amplitudes", help="unnormalized no-jump populations on a time grid"
-    )
-    _add_common_arguments(p, tmax_default=15.0)
-    p.set_defaults(func=cmd_amplitudes)
-
-    p = sub.add_parser(
-        "probabilities", help="closed-form emission budget (P0, Pcav, Pspon)"
-    )
-    _add_common_arguments(p, tmax_default=15.0)
-    p.set_defaults(func=cmd_probabilities)
-
-    p = sub.add_parser(
-        "fidelity", help="dark-pair weight of the no-click mixture per eta"
-    )
-    _add_common_arguments(p, tmax_default=500.0)
-    p.add_argument(
-        "--eta", type=float, nargs="+", default=(1.0, 0.8),
-        help="detector efficiencies, one column each (default: 1.0 0.8)",
-    )
-    p.set_defaults(func=cmd_fidelity)
-
-    p = sub.add_parser(
-        "entropy", help="relative entropy of entanglement of the no-click mixture"
-    )
-    _add_common_arguments(p, tmax_default=500.0)
-    p.add_argument(
-        "--eta", type=float, default=1.0, help="detector efficiency (default 1.0)"
-    )
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser(
-        "trajectories", help="Monte Carlo frequency estimates of the emission budget"
-    )
-    _add_common_arguments(p, tmax_default=15.0)
-    p.add_argument(
-        "--trajectories", type=int, default=10000,
-        help="ensemble size (default 10000)",
-    )
-    p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    p.add_argument(
-        "--eta", type=float, default=1.0, help="detector efficiency (default 1.0)"
-    )
-    p.set_defaults(func=cmd_trajectories)
-
-    p = sub.add_parser(
-        "repump", help="repump-and-wait purification ledger"
-    )
-    _add_rate_arguments(p)
-    p.add_argument(
-        "--eta", type=float, default=1.0, help="detector efficiency (default 1.0)"
-    )
-    p.add_argument(
-        "--lambda0", type=float, default=None,
-        help="initial dark-pair weight (default: post-transient onset value)",
-    )
-    p.add_argument(
-        "--p-detect", type=float, default=0.9,
-        help="repump click probability for the ground component (default 0.9)",
-    )
-    p.add_argument("--rounds", type=int, default=5, help="number of rounds (default 5)")
-    _add_output_argument(p)
-    p.set_defaults(func=cmd_repump)
-
+    for name, help_text, command, arguments in _COMMANDS:
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
+        subparser.set_defaults(func=command)
     return parser
 
 
@@ -307,13 +224,18 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (SimulationError, ValueError) as exc:
+        header, columns, *notes = args.func(args)
+        if args.out == "-":
+            _write_table(sys.stdout, header, columns)
+        else:
+            with open(args.out, "w", newline="\n") as stream:
+                _write_table(stream, header, columns)
+    except (SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
+    for note in notes:
+        print(note, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EmptyGridError, NegativeTimeError, ZeroRateError
+from .errors import EmptyGridError, NegativeTimeError, SimulationError, ZeroRateError
 from .model import Parameters, _emission_rates
 from .propagator import _survival_kernel, conditional_state
 
@@ -51,11 +51,11 @@ _TABLE_START = 1e-9
 # A trajectory stops once |log P0(t) - log u| <= _RESIDUAL_TOL, once its
 # bracket is _BRACKET_ULPS ulp wide, or once a Newton step leaves t unchanged.
 # A stop test on the step size alone never fires where round-off in P0 moves
-# the Newton step by more than a few ulp.  _MAX_STEPS only guards termination:
-# from the table start, batches stop within 2 to 5 steps, or about 20 when
-# kappa << Omega makes P0 a staircase finer than the table (each step over
-# fewer roots: 1 to 2 kernel points per jump in all, 6 to 7 on the
-# staircase).
+# the Newton step by more than a few ulp.  _MAX_STEPS guards termination (a
+# root still moving after it raises SimulationError): from the table start,
+# batches stop within 2 to 5 steps, or about 20 when kappa << Omega makes P0
+# a staircase finer than the table (each step over fewer roots: 1 to 2
+# kernel points per jump in all, 6 to 7 on the staircase).
 _RESIDUAL_TOL = 1e-15
 _BRACKET_ULPS = 4
 _MAX_STEPS = 200
@@ -106,8 +106,12 @@ class EnsembleEstimate:
 
 
 def default_horizon(params: Parameters) -> float:
-    """Sampling horizon: 15 spontaneous lifetimes, or 50/kappa when gamma=0."""
-    if params.gamma > 0.0:
+    """Sampling horizon: 15 spontaneous lifetimes, or 50/kappa when gamma=0.
+
+    A gamma so small that 15/gamma overflows (below about 8.3e-308, the
+    subnormals included) gets the gamma=0 horizon.
+    """
+    if params.gamma > 0.0 and math.isfinite(15.0 / params.gamma):
         return 15.0 / params.gamma
     return 50.0 / params.kappa
 
@@ -170,7 +174,8 @@ def _invert_survival(kernel, log_u, lo, hi, t):
     into short arrays (see _WIDTH_QUANTUM), and an element writes its time
     back when it stops.  The kernel is elementwise, so a result never
     depends on the rest of the batch.  Elements with u = 1 keep their start.
-    Returns the times.
+    Returns the times; raises SimulationError if some root still moves after
+    _MAX_STEPS steps.
     """
     times = t.copy()
     index = np.flatnonzero(log_u < 0.0)
@@ -204,8 +209,10 @@ def _invert_survival(kernel, log_u, lo, hi, t):
         index, log_u, lo, hi, t, step, step_old = (
             array[keep] for array in (index, log_u, lo, hi, t_next, step, step_old)
         )
-    times[index] = t
-    return times
+    raise SimulationError(
+        f"waiting-time inversion did not converge in {_MAX_STEPS} steps "
+        f"(bracket [{lo[0]:.6g}, {hi[0]:.6g}])"
+    )
 
 
 def _classify(params, weights: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -25,11 +25,12 @@ w1 = -dP0/dt from the factors alone, without the amplitudes, for the Monte
 Carlo root finder.
 
 All time-dependent quantities accept scalar or array times; a negative or
-NaN time raises NegativeTimeError.  Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0 and P_cav, forms
-P_spon = 1 - P0 - P_cav from the clipped values, and then checks all three
-unclipped quantities in one pass: the largest excess outside [0, 1] is
-computed once, and past round-off (or on NaN) ProbabilityRangeError names the
-quantity and its excess.
+NaN time raises NegativeTimeError and an infinite one ValueError.
+Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0
+and P_cav, forms P_spon = 1 - P0 - P_cav from the clipped values, and then
+checks all three unclipped quantities in one pass: the largest excess
+outside [0, 1] is computed once, and past round-off (or on NaN)
+ProbabilityRangeError names the quantity and its excess.
 
 The projectors depend only on the four rates, so ``_projectors`` builds them
 once per rate set (a bounded cache keyed on (g_a, g_b, kappa, gamma), shared
@@ -59,8 +60,11 @@ _PROB_TOL = 1e-10
 
 def _check_times(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if not np.all(arr >= 0.0):  # also rejects NaN
+    # The .all() methods skip the dispatch of np.all: this runs on every call.
+    if not (arr >= 0.0).all():  # also rejects NaN
         raise NegativeTimeError("conditional evolution requires t >= 0")
+    if not (arr < np.inf).all():
+        raise ValueError("conditional evolution requires a finite t")
     return arr
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 import os
@@ -20,6 +21,14 @@ from darkstate_sim import cli
 from darkstate_sim.cli import build_parser, main
 
 SATURATION = 0.4992508740634678
+
+HELP_PAGES = Path(__file__).parent / "data" / "cli_help"
+SUBCOMMANDS = [
+    name
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for name in action.choices
+]
 
 # A non-default parameter set for the table-versus-scalar checks.
 RATE_FLAGS = ["--ga", "0.7", "--gb", "2.1", "--kappa", "9.3", "--gamma", "0.004"]
@@ -252,11 +261,14 @@ class TestRepumpCommand:
 
 
 class TestErrorHandling:
-    def test_invalid_parameter_exits_2(self, capsys):
-        code, out, err = _run(capsys, ["probabilities", "--kappa", "-1"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_invalid_parameter_exits_2(self, capsys, command):
+        # repump checks the rates even when --lambda0 leaves them unused.
+        extra = ["--lambda0", "0.5"] if command == "repump" else []
+        code, out, err = _run(capsys, [command, *extra, "--kappa", "-1"])
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err == "error: cavity decay rate kappa must be positive\n"
 
     def test_unknown_option_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -299,11 +311,16 @@ class TestErrorHandling:
         assert err.startswith("error:") and "probability zero" in err
         assert len(err.splitlines()) == 1
 
-    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, command):
+        # One error line and nothing else: trajectories prints its z-score
+        # note only after the table is written.
         target = tmp_path / "no-such-dir" / "out.csv"
-        code, _, err = _run(capsys, ["probabilities", "--out", str(target)])
+        code, out, err = _run(capsys, [command, "--out", str(target)])
         assert code == 1
-        assert err.startswith("error:")
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "max |z|" not in err
 
 
 def _reference_table(header, rows) -> str:
@@ -351,13 +368,13 @@ class TestWriteTable:
         assert text == _reference_table(["t", "x", "y"], rows)
 
 
-HELP_PAGES = Path(__file__).parent / "data" / "cli_help"
-SUBCOMMANDS = ["amplitudes", "probabilities", "fidelity", "entropy", "trajectories", "repump"]
-
-
 class TestSharedParser:
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
+
+    def test_every_subcommand_has_a_help_page(self):
+        pages = {path.stem for path in HELP_PAGES.glob("*.txt")} - {"main"}
+        assert set(SUBCOMMANDS) == pages
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_defaults_are_immutable(self, command):

@@ -8,6 +8,7 @@ from darkstate_sim import (
     EmptyGridError,
     NegativeTimeError,
     Parameters,
+    SimulationError,
     ZeroRateError,
     default_horizon,
     emission_probabilities,
@@ -103,6 +104,26 @@ class TestWaitingTime:
     def test_default_horizon(self, fig_params):
         assert default_horizon(fig_params) == 15.0 / 1e-3
         assert default_horizon(Parameters(1.0, 1.0, 2.0)) == 25.0
+        # 15/gamma overflows for a subnormal gamma: the gamma = 0 horizon.
+        assert default_horizon(Parameters(1.0, 1.0, 2.0, 1e-310)) == 25.0
+
+    def test_subnormal_gamma_ensemble_matches_budget(self):
+        # With 15/gamma = inf as the horizon this raised "horizon must be
+        # finite" although the caller passed no horizon.
+        params = Parameters(1.0, 1.0, 1.0, 1e-310)
+        n, grid = 4000, [1.0, 5.0]
+        est = run_ensemble(params, n, grid, 3)
+        exact = emission_probabilities(params, grid)
+        for hat, ref in [(est.p0_hat, exact.p0), (est.p_cav_hat, exact.p_cav)]:
+            assert np.all(np.abs(hat - ref) <= 3.0 * np.sqrt(ref * (1.0 - ref) / n))
+
+    def test_unconverged_inversion_raises(self):
+        # At gamma = 1e-70 the default horizon 15/gamma puts the first table
+        # point far beyond every root, and bisection from there needs more
+        # than _MAX_STEPS steps.  Unchecked, the unconverged times were
+        # returned and the tally read p0_hat = 0.99, 0.96 against P0 = 0.77, 0.50.
+        with pytest.raises(SimulationError, match="did not converge"):
+            run_ensemble(Parameters(1.0, 1.0, 1.0, 1e-70), 4000, [1.0, 5.0], 3)
 
 
 def _state_weights(amplitudes):

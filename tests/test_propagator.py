@@ -95,6 +95,26 @@ class TestPropagatorMatrix:
         with pytest.raises(NegativeTimeError):
             entry(fig_params, t)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p, t: conditional_state(p, t),
+            lambda p, t: Propagator.from_parameters(p).matrix(t),
+            lambda p, t: emission_probabilities(p, t),
+            lambda p, t: mixture_at(p, t, eta=0.5),
+            lambda p, t: mixture_asymptotic(p, t),
+        ],
+        ids=["conditional_state", "matrix", "emission_probabilities", "mixture_at",
+             "mixture_asymptotic"],
+    )
+    @pytest.mark.parametrize("t", [math.inf, [1.0, math.inf]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_infinite_time_rejected(self, entry, t, gamma):
+        # Unchecked, inf gave NaN arrays with a RuntimeWarning (an error
+        # under this suite's warning filter), or "P0 out of range by nan".
+        with pytest.raises(ValueError, match="finite t"):
+            entry(Parameters(g_a=1.0, g_b=1.0, kappa=1.0, gamma=gamma), t)
+
     def test_scipy_cross_check(self, rng):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         for _ in range(5):
