@@ -95,20 +95,6 @@ def _split_squared(params: Parameters) -> float:
     return 4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2
 
 
-def _emission_rates(params: Parameters, weights: np.ndarray):
-    """Channel rates (cavity, spontaneous a, spontaneous b) from the weights |c|^2.
-
-    2 kappa |c_100|^2, 2 gamma |c_010|^2 and 2 gamma |c_001|^2, each of shape
-    weights.shape[:-1].  Their sum is -d|psi|^2/dt for any state psi, because
-    M + M^T = 2 diag(kappa, gamma, gamma).
-    """
-    return (
-        2.0 * params.kappa * weights[..., 0],
-        2.0 * params.gamma * weights[..., 1],
-        2.0 * params.gamma * weights[..., 2],
-    )
-
-
 def _generator_matrix(params: Parameters) -> np.ndarray:
     """The real 3x3 generator M of the no-detection evolution exp(-M t)."""
     g_a, g_b = params.g_a, params.g_b

@@ -4,19 +4,23 @@ Each trajectory starting from |010> experiences at most one jump: the
 excitation either leaks through the cavity mirrors, is emitted spontaneously
 by one of the atoms, or survives (asymptotically trapped in the dark state).
 The waiting time is sampled by inverting the survival law P0(t) = u with a
-uniform u, and the channel is chosen from the instantaneous rate weights
+uniform u, and the channel is chosen from the instantaneous rates
 (2 kappa |c_100|^2 : 2 gamma |c_010|^2 : 2 gamma |c_001|^2) at the jump.
 The inversion is safeguarded Newton on log P0(t) - log u, whose slope
--w1/P0 comes from the same rate weights (w1 = -dP0/dt is their sum).
+-w1/P0 comes from the total rate w1 = -dP0/dt, the sum of the three.
 
-A batch runs on two numbers per point, P0 and w1, from the closed-form
-factors of ``propagator._survival_kernel``; the amplitudes are formed once,
-at the jump times, to pick the channels.  It tabulates (P0, w1) on
-log-spaced times, which brackets every root, and starts each root from the
-inverse cubic Hermite interpolant of t in log P0, whose end slopes -P0/w1
-come with the table.  Each Newton step evaluates only the roots still
-active: on the paper's set a 16 384-trajectory chunk takes three steps over
-about 25 000 points in all, 1.5 per jump.
+A batch evaluates the closed form once per point, through
+``propagator._survival_kernel``: P0, w1 and the cavity and atom-a rates,
+from the three real factors alone.  A root's last evaluation is at its
+accepted time, so the rates it leaves behind pick the channel, and the
+amplitudes are never formed.  The start table of (P0, w1) on log-spaced
+times brackets every root; it depends only on the rates and the horizon,
+so it is built once per (g_a, g_b, kappa, gamma, horizon) and shared,
+read-only, by every batch and thread.  Each root starts from the inverse
+cubic Hermite interpolant of t in log P0, whose end slopes -P0/w1 come with
+the table.  Each Newton step evaluates only the roots still active: on the
+paper's set a 16 384-trajectory chunk takes three steps over about 25 000
+points in all, 1.5 per jump, and no other evaluation.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
@@ -32,21 +36,31 @@ chunking and of the worker count used to evaluate it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyGridError, NegativeTimeError, SimulationError, ZeroRateError
-from .model import Parameters, _emission_rates
-from .propagator import _survival_kernel, conditional_state
+from .model import Parameters
 
-# Start table of P0: t = 0 plus log-spaced times from 1e-9 * horizon to the
-# horizon.  Neighbouring times differ by 0.5 %, so the interpolated start lies
-# within a few Newton steps of the root.
+# ``conditional_state`` is no longer called here; the name stays importable
+# from this module because bench/tracing.py wraps montecarlo.conditional_state.
+from .propagator import _survival_kernel, conditional_state  # noqa: F401
+
+# Start table of P0: t = 0 plus _TABLE_POINTS log-spaced times up to the
+# horizon, from _TABLE_START * horizon or, when that lies past the bright
+# transient, from _TRANSIENT_START / (kappa + gamma).  With the horizon's
+# start, neighbouring times differ by 0.5 %, so the interpolated start lies
+# within a few Newton steps of the root; the transient's start keeps the
+# early roots of a tiny gamma (a horizon 15/gamma far beyond 1/kappa)
+# inside the table, at a coarser spacing (4 % at gamma = 1e-70).
 _TABLE_POINTS = 4096
 _TABLE_START = 1e-9
+_TRANSIENT_START = 1e-3
 
 # A trajectory stops once |log P0(t) - log u| <= _RESIDUAL_TOL, once its
 # bracket is _BRACKET_ULPS ulp wide, or once a Newton step leaves t unchanged.
@@ -55,16 +69,18 @@ _TABLE_START = 1e-9
 # root still moving after it raises SimulationError): from the table start,
 # batches stop within 2 to 5 steps, or about 20 when kappa << Omega makes P0
 # a staircase finer than the table (each step over fewer roots: 1 to 2
-# kernel points per jump in all, 6 to 7 on the staircase).
+# kernel points per jump in all, 6 to 7 on the staircase, the cached table
+# not counted).
 _RESIDUAL_TOL = 1e-15
 _BRACKET_ULPS = 4
 _MAX_STEPS = 200
-# The active set of an inversion is padded to a multiple of _WIDTH_QUANTUM
-# elements with copies of an active element, which evolve exactly like it.
-# Unpadded, its arrays took ever-changing sizes under 1 KiB, and a process
-# running chunk after chunk while keeping small results grew its peak RSS by
-# ~7 KiB per 16k chunk, the heap pinned by freed small blocks.  Padded, its float
-# arrays never go below 1 KiB and its boolean ones take seven sizes.
+# The jump batch and the active set of each inversion step are padded to a
+# multiple of _WIDTH_QUANTUM elements with copies of one of their elements,
+# which evolve exactly like it and write back equal values.  Unpadded, their
+# arrays took ever-changing sizes, and a process running chunk after chunk
+# while keeping small results grew its peak RSS, the heap pinned by freed
+# blocks of odd sizes between the kept ones.  Padded, the float arrays never
+# go below 1 KiB and take sizes from a short list that later chunks reuse.
 _WIDTH_QUANTUM = 128
 
 _DRAWS_PER_TRAJECTORY = 4  # one Philox block
@@ -108,11 +124,16 @@ class EnsembleEstimate:
 def default_horizon(params: Parameters) -> float:
     """Sampling horizon: 15 spontaneous lifetimes, or 50/kappa when gamma=0.
 
-    A gamma so small that 15/gamma overflows (below about 8.3e-308, the
-    subnormals included) gets the gamma=0 horizon.
+    A gamma so small that the closed form's exponents may overflow at
+    15/gamma, with 15/gamma * (kappa + gamma + 2 Omega) not finite (gamma
+    below about 3.2e-307 at g = kappa = 1, the subnormals included), gets
+    the gamma=0 horizon.
     """
-    if params.gamma > 0.0 and math.isfinite(15.0 / params.gamma):
-        return 15.0 / params.gamma
+    if params.gamma > 0.0:
+        horizon = 15.0 / params.gamma
+        rate = params.kappa + params.gamma + 2.0 * math.sqrt(params.coupling_squared)
+        if math.isfinite(horizon * rate):
+            return horizon
     return 50.0 / params.kappa
 
 
@@ -129,10 +150,54 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _bracket_from_table(table_t, table_p0, table_w1, u):
-    """log u, bracket [lo, hi] and start for each root of P0(t) = u from a table.
+class _StartTable(NamedTuple):
+    """The start table of ``simulate_trajectories``, shared read-only.
 
-    The bracket is the pair of neighbouring table times around u (on a
+    ``times`` are the table times, ``descending`` is -E for the monotone
+    envelope E = minimum.accumulate(P0) (ascending, for searchsorted),
+    ``log_envelope`` is log E, ``tangent`` is dt/dlog P0 = -P0/w1, and
+    ``p0_end`` is P0 at the horizon.
+    """
+
+    times: np.ndarray
+    descending: np.ndarray
+    log_envelope: np.ndarray
+    tangent: np.ndarray
+    p0_end: float
+
+
+def _start_table(params: Parameters, horizon: float) -> _StartTable:
+    """The start table for the four rates and ``horizon``, built once (see _rate_table)."""
+    # -0.0 and 0.0 are one cache key, so the table is built from + 0.0 and
+    # never depends on which of them filled the entry.
+    return _rate_table(
+        params.g_a + 0.0, params.g_b + 0.0, params.kappa + 0.0, params.gamma + 0.0, horizon + 0.0
+    )
+
+
+# Bounded like propagator._rate_projectors: 128 tables of 130 KiB hold every
+# rate set and horizon a CLI run or a benchmark round cycles through.
+@functools.lru_cache(maxsize=128)
+def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: float) -> _StartTable:
+    first = min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma))
+    times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
+    times[-1] = horizon
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, w1, _, _ = _survival_kernel(Parameters(g_a, g_b, kappa, gamma))(times)
+    if not (np.isfinite(p0).all() and np.isfinite(w1).all()):
+        raise SimulationError(f"survival law not finite on [0, {horizon!r}]: the horizon is too long")
+    envelope = np.minimum.accumulate(p0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        arrays = times, -envelope, np.log(envelope), -p0 / w1
+    for array in arrays:
+        array.setflags(write=False)
+    return _StartTable(*arrays, float(p0[-1]))
+
+
+def _bracket_from_table(table: _StartTable, u):
+    """log u, bracket [lo, hi] and start for each root of P0(t) = u from the table.
+
+    The bracket is the pair of neighbouring table times around u (on the
     monotone envelope, which absorbs round-off wiggles of P0).  The start is
     the inverse cubic Hermite interpolant of t in log P0 through the two
     table points, whose end slopes dt/dlog P0 = -P0/w1 come with the table.
@@ -141,13 +206,11 @@ def _bracket_from_table(table_t, table_p0, table_w1, u):
     linearly instead, and the bracket is halved where that fails too.
     u = 1 starts at t = 0 exactly.
     """
-    envelope = np.minimum.accumulate(table_p0)
-    upper = np.clip(np.searchsorted(-envelope, -u, side="left"), 1, table_t.size - 1)
+    times, log_table, tangent = table.times, table.log_envelope, table.tangent
+    upper = np.clip(np.searchsorted(table.descending, -u, side="left"), 1, times.size - 1)
     lower = upper - 1
-    lo, hi = table_t[lower], table_t[upper]
+    lo, hi = times[lower], times[upper]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_table = np.log(envelope)
-        tangent = -table_p0 / table_w1  # dt/dlog P0
         height = log_table[upper] - log_table[lower]
         log_u = np.log(u)
         share = (log_u - log_table[lower]) / height
@@ -164,25 +227,27 @@ def _bracket_from_table(table_t, table_p0, table_w1, u):
 def _invert_survival(kernel, log_u, lo, hi, t):
     """Safeguarded Newton (Numerical Recipes ``rtsafe``) on log P0(t) = log u.
 
-    ``kernel(t)`` returns (P0, w1) at an array of times, where w1 = -dP0/dt
-    is the total emission rate, so that -w1/P0 is the slope of log P0.  Each
-    root must satisfy P0(lo) > u >= P0(hi), and ``t`` is a start inside
-    [lo, hi].  A Newton step that leaves the bracket, or that does not halve
-    the step before last, becomes a bisection, and every evaluation tightens
-    the bracket.  Each element stops on its own rule (see _RESIDUAL_TOL).
-    Only the elements still active are evaluated: each step gathers them
-    into short arrays (see _WIDTH_QUANTUM), and an element writes its time
-    back when it stops.  The kernel is elementwise, so a result never
-    depends on the rest of the batch.  Elements with u = 1 keep their start.
-    Returns the times; raises SimulationError if some root still moves after
-    _MAX_STEPS steps.
+    ``kernel(t)`` returns (P0, w1, w_cav, w_a) at an array of times, where
+    w1 = -dP0/dt is the total emission rate, so that -w1/P0 is the slope of
+    log P0.  Each root must satisfy P0(lo) > u >= P0(hi), and ``t`` is a
+    start inside [lo, hi].  A Newton step that leaves the bracket, or that
+    does not halve the step before last, becomes a bisection, and every
+    evaluation tightens the bracket.  Each element stops on its own rule (see
+    _RESIDUAL_TOL).  Only the elements still active are evaluated: each step
+    gathers them into short arrays (see _WIDTH_QUANTUM), and every step
+    writes back the time it evaluated with the rates there, so an element
+    that stops leaves its last evaluation.  The kernel is elementwise, so a
+    result never depends on the rest of the batch.  Elements with u = 1
+    stop at their start t = 0, at residual 0.
+
+    Returns the times and the rates (w1, w_cav, w_a) at them; raises
+    SimulationError if some root still moves after _MAX_STEPS steps.
     """
-    times = t.copy()
-    index = np.flatnonzero(log_u < 0.0)
-    log_u, lo, hi, t = log_u[index], lo[index], hi[index], t[index]
+    times, total, cavity, atom_a = np.empty((4, t.size))
+    index = np.arange(t.size)
     step = step_old = hi - lo
     for _ in range(_MAX_STEPS):
-        p0, w1 = kernel(t)
+        p0, w1, w_cav, w_a = kernel(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             residual = np.log(p0) - log_u
             newton = residual * p0 / w1  # -f/f' for f = log P0 - log u
@@ -198,13 +263,15 @@ def _invert_survival(kernel, log_u, lo, hi, t):
             & (hi - lo > _BRACKET_ULPS * np.spacing(hi))
             & (t_next != t)
         )
-        times[index] = t
+        times[index], total[index], cavity[index], atom_a[index] = t, w1, w_cav, w_a
         count = np.count_nonzero(moving)
         if count == 0:
-            return times
+            return times, total, cavity, atom_a
         # The moving elements, in order, padded with copies of the first.
+        # The buffer takes the full current width, a size already in use.
         width = min(moving.size, -(-count // _WIDTH_QUANTUM) * _WIDTH_QUANTUM)
-        keep = np.argsort(~moving, kind="stable")[:width]
+        keep = np.empty(moving.size, np.intp)[:width]
+        keep[:count] = np.flatnonzero(moving)
         keep[count:] = keep[0]
         index, log_u, lo, hi, t, step, step_old = (
             array[keep] for array in (index, log_u, lo, hi, t_next, step, step_old)
@@ -215,22 +282,20 @@ def _invert_survival(kernel, log_u, lo, hi, t):
     )
 
 
-def _classify(params, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Channel codes from the weights |c|^2 at the jumps, shape (n, 3).
+def _classify(v, total, cavity, atom_a) -> np.ndarray:
+    """Channel codes from the rates (w1, w_cav, w_a) at the jumps.
 
     Thresholds are cumulative in the fixed order CAVITY, SPON_A, SPON_B:
     v < w_cav/w1 selects CAVITY, v < (w_cav+w_a)/w1 selects SPON_A, and
-    SPON_B otherwise, with the channel rates w_cav, w_a, w_b of
-    ``model._emission_rates`` summing to w1.
+    SPON_B otherwise.  Raises ZeroRateError where the total rate w1 is not
+    positive.
     """
-    w_cav, w_a, w_b = _emission_rates(params, weights)
-    total = w_cav + w_a + w_b
-    if np.any(total <= 0.0):
+    if (total <= 0.0).any():
         raise ZeroRateError("total emission rate vanishes at the jump state")
     return np.where(
-        v < w_cav / total,
+        v < cavity / total,
         _CODE_CAVITY,
-        np.where(v < (w_cav + w_a) / total, _CODE_SPON_A, _CODE_SPON_B),
+        np.where(v < (cavity + atom_a) / total, _CODE_SPON_A, _CODE_SPON_B),
     ).astype(np.int8)
 
 
@@ -268,20 +333,20 @@ def simulate_trajectories(
     codes = np.full(count, _CODE_NONE, dtype=np.int8)
     detected = np.zeros(count, dtype=bool)
 
-    table_t = np.concatenate(([0.0], np.geomspace(_TABLE_START * horizon, horizon, _TABLE_POINTS)))
-    table_t[-1] = horizon
-    kernel = _survival_kernel(params)
-    table_p0, table_w1 = kernel(table_t)
+    table = _start_table(params, horizon)
     # The jumping trajectories, in increasing u: neighbours then take alike
-    # paths through the inversion, and the table search walks in one direction.
+    # paths through the inversion, and the table search walks in one
+    # direction.  Padded with copies of the last one (see _WIDTH_QUANTUM).
     order = np.argsort(u)
-    jumping = order[np.searchsorted(u[order], table_p0[-1], side="right") :]
-    if jumping.size == 0:
+    first = np.searchsorted(u[order], table.p0_end, side="right")
+    if first == count:
         return times, codes, detected
+    jumping = np.full(-(-(count - first) // _WIDTH_QUANTUM) * _WIDTH_QUANTUM, order[-1])
+    jumping[: count - first] = order[first:]
 
-    t_jump = _invert_survival(kernel, *_bracket_from_table(table_t, table_p0, table_w1, u[jumping]))
-    # The amplitudes are formed once, at the jump times, for the channel.
-    code_j = _classify(params, conditional_state(params, t_jump) ** 2, v[jumping])
+    bracket = _bracket_from_table(table, u[jumping])
+    t_jump, *rates = _invert_survival(_survival_kernel(params), *bracket)
+    code_j = _classify(v[jumping], *rates)
 
     times[jumping] = t_jump
     codes[jumping] = code_j

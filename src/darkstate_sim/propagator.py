@@ -159,28 +159,35 @@ def _propagate(params: Parameters, factors, basis: np.ndarray) -> np.ndarray:
 
 
 def _survival_kernel(params: Parameters):
-    """The (P0, w1) pair at an array of times, for the state grown from |010>.
+    """P0, w1 and two channel rates at an array of times, for the state from |010>.
 
     With f = (e0, c, s), the state is B^T f / Omega^2, B holding column 1 of
     each of Omega^2 (D, P, Q), so P0 = f^T G f / Omega^4 with the Gram matrix
     G = B B^T, formed here once.  D and P have no (0, 1) entry, so the cavity
     amplitude is c_100 = -2 g_a s, and with x = 4 g_a^2 s^2 the total rate
-    w1 = -dP0/dt is 2 kappa x + 2 gamma (P0 - x).  Neither the amplitudes nor
-    their weights are formed, and the evaluation is elementwise, so a time's
-    result does not depend on how many times are evaluated together.
+    w1 = -dP0/dt is 2 kappa x + 2 gamma (P0 - x).  The kernel returns
+    (P0, w1, w_cav, w_a): besides the pair, the cavity rate 2 kappa x and the
+    atom-a rate 2 gamma c_010^2, with c_010 = f . B[:, 1] / Omega^2, so that a
+    root's last evaluation also picks its channel.  The full amplitude vector
+    is never formed, and the evaluation is elementwise, so a time's result
+    does not depend on how many times are evaluated together.
     """
     basis = _projectors(params)[:, :, 1]
     gram = basis @ basis.T / params.coupling_squared**2
     g_ee, g_ec, g_es = gram[0, 0], 2.0 * gram[0, 1], 2.0 * gram[0, 2]
     g_cc, g_cs, g_ss = gram[1, 1], 2.0 * gram[1, 2], gram[2, 2]
+    b_e, b_c, b_s = basis[:, 1]
     cavity_sq = 4.0 * params.g_a**2
+    coupling_sq = params.coupling_squared
     kappa2, gamma2 = 2.0 * params.kappa, 2.0 * params.gamma
 
     def kernel(times: np.ndarray):
         e0, c, s = _split_factors(params, times)
         p0 = e0 * (g_ee * e0 + g_ec * c + g_es * s) + c * (g_cc * c + g_cs * s) + g_ss * s * s
         x = cavity_sq * s * s
-        return p0, kappa2 * x + gamma2 * (p0 - x)
+        c_010 = (e0 * b_e + c * b_c + s * b_s) / coupling_sq
+        w_cav = kappa2 * x
+        return p0, w_cav + gamma2 * (p0 - x), w_cav, gamma2 * c_010**2
 
     return kernel
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +12,14 @@ from darkstate_sim import (
     Parameters,
     SimulationError,
     ZeroRateError,
+    conditional_state,
     default_horizon,
     emission_probabilities,
     run_ensemble,
     simulate_trajectories,
 )
 from conftest import INVERSION_REGIMES
-from darkstate_sim import montecarlo
+from darkstate_sim import montecarlo, propagator
 
 # Conditional channel probabilities by t = 50 for g_a = g_b = kappa = 1,
 # gamma = 1e-3 (cavity, spontaneous-from-a, spontaneous-from-b), frozen from
@@ -34,20 +37,15 @@ CHUNK = 16_384
 
 
 def _table(params, horizon):
-    """The start table of ``simulate_trajectories``: times, P0 and w1."""
-    table_t = np.concatenate(
-        ([0.0], np.geomspace(montecarlo._TABLE_START * horizon, horizon, montecarlo._TABLE_POINTS))
-    )
-    table_t[-1] = horizon
-    kernel = montecarlo._survival_kernel(params)
-    return kernel, table_t, *kernel(table_t)
+    """The kernel and the (cached) start table of ``simulate_trajectories``."""
+    return montecarlo._survival_kernel(params), montecarlo._start_table(params, horizon)
 
 
 def _roots(params, u):
     """Jump times for the uniforms ``u``, by the batch root finder alone."""
-    kernel, *table = _table(params, default_horizon(params))
-    bracket = montecarlo._bracket_from_table(*table, np.asarray(u, dtype=float))
-    return montecarlo._invert_survival(kernel, *bracket)
+    kernel, table = _table(params, default_horizon(params))
+    bracket = montecarlo._bracket_from_table(table, np.asarray(u, dtype=float))
+    return montecarlo._invert_survival(kernel, *bracket)[0]
 
 
 def _waiting_draws(seed, count):
@@ -61,13 +59,17 @@ class TestWaitingTime:
         # u = 1 starts at t = 0 exactly and the inversion leaves it there,
         # also beside roots that do move.
         for params in (fig_params, INVERSION_REGIMES["gamma_zero"]):
-            kernel, *table = _table(params, default_horizon(params))
+            kernel, table = _table(params, default_horizon(params))
             u = np.array([1.0, 0.5, 1.0])
-            bracket = montecarlo._bracket_from_table(*table, u)
+            bracket = montecarlo._bracket_from_table(table, u)
             assert bracket[3][0] == bracket[3][2] == 0.0
-            times = montecarlo._invert_survival(kernel, *bracket)
+            times, total, cavity, atom_a = montecarlo._invert_survival(kernel, *bracket)
             assert times[0] == times[2] == 0.0
             assert times[1] > 0.0
+            # At t = 0 only atom a radiates: rates (w1, w_cav, w_a) = (2 gamma, 0, 2 gamma).
+            gamma2 = 2.0 * params.gamma
+            for k in (0, 2):
+                assert (total[k], cavity[k], atom_a[k]) == (gamma2, 0.0, gamma2)
 
     def test_root_self_consistency(self, fig_params):
         u = np.array([0.9, 0.6, 0.47])
@@ -106,28 +108,40 @@ class TestWaitingTime:
         assert default_horizon(Parameters(1.0, 1.0, 2.0)) == 25.0
         # 15/gamma overflows for a subnormal gamma: the gamma = 0 horizon.
         assert default_horizon(Parameters(1.0, 1.0, 2.0, 1e-310)) == 25.0
+        # 15/gamma is finite, but the closed form's exponents overflow there.
+        assert default_horizon(Parameters(1.0, 1.0, 2.0, 1e-307)) == 25.0
+        assert default_horizon(Parameters(1.0, 1.0, 2.0, 1e-70)) == 1.5e71
 
-    def test_subnormal_gamma_ensemble_matches_budget(self):
-        # With 15/gamma = inf as the horizon this raised "horizon must be
-        # finite" although the caller passed no horizon.
-        params = Parameters(1.0, 1.0, 1.0, 1e-310)
+    def test_unconverged_inversion_raises(self, fig_params, monkeypatch):
+        # Roots still moving when the step budget runs out raise; unchecked,
+        # the unconverged times were returned and tallied as jumps.  (At
+        # gamma = 1e-70 a table that started at 1e-9 * 15/gamma once made
+        # this happen; the budget is cut here to reach the check at all.)
+        monkeypatch.setattr(montecarlo, "_MAX_STEPS", 1)
+        with pytest.raises(SimulationError, match="did not converge"):
+            run_ensemble(fig_params, 4000, [1.0, 5.0], 3)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-310, 1e-307, 1e-70, 1e-64, 1e-3])
+    def test_tiny_gamma_ensemble_matches_budget(self, gamma):
+        # The start table reaches down into the cavity transient for every
+        # gamma.  Once, at 1e-310 the horizon 15/gamma = inf raised "horizon
+        # must be finite" although the caller passed none; at 1e-307 the
+        # horizon overflowed the closed form and every trajectory was tallied
+        # as no jump, with only warnings; at 1e-70 the table started past
+        # every early root and the inversion gave up.  Warnings are errors
+        # here (pyproject.toml).
+        params = Parameters(1.0, 1.0, 1.0, gamma)
         n, grid = 4000, [1.0, 5.0]
         est = run_ensemble(params, n, grid, 3)
         exact = emission_probabilities(params, grid)
         for hat, ref in [(est.p0_hat, exact.p0), (est.p_cav_hat, exact.p_cav)]:
             assert np.all(np.abs(hat - ref) <= 3.0 * np.sqrt(ref * (1.0 - ref) / n))
 
-    def test_unconverged_inversion_raises(self):
-        # At gamma = 1e-70 the default horizon 15/gamma puts the first table
-        # point far beyond every root, and bisection from there needs more
-        # than _MAX_STEPS steps.  Unchecked, the unconverged times were
-        # returned and the tally read p0_hat = 0.99, 0.96 against P0 = 0.77, 0.50.
-        with pytest.raises(SimulationError, match="did not converge"):
-            run_ensemble(Parameters(1.0, 1.0, 1.0, 1e-70), 4000, [1.0, 5.0], 3)
-
-
-def _state_weights(amplitudes):
-    return np.asarray(amplitudes, dtype=float)[np.newaxis] ** 2
+    def test_non_finite_table_raises(self, fig_params):
+        # A horizon past which the closed form's exponents overflow: the
+        # table is not finite, and no trajectory may be tallied from it.
+        with pytest.raises(SimulationError, match="not finite"):
+            simulate_trajectories(fig_params, 3, 0, 16, horizon=1.5e308)
 
 
 class TestClassifyJump:
@@ -135,10 +149,15 @@ class TestClassifyJump:
 
     V = np.array([0.0, 0.3, 0.5, 0.6, 0.999, 0.9999])
 
+    @staticmethod
+    def _rates(params, weights, size):
+        """(w1, w_cav, w_a) of ``size`` jumps at the weights |c|^2 (cavity, a, b)."""
+        w_cav, w_a, w_b = 2.0 * np.array([params.kappa, params.gamma, params.gamma]) * weights
+        return np.full(size, w_cav + w_a + w_b), np.full(size, w_cav), np.full(size, w_a)
+
     def test_lossless_atoms_always_cavity(self):
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)
-        weights = np.repeat(_state_weights([0.6, 0.5, 0.3]), self.V.size, axis=0)
-        codes = montecarlo._classify(p, weights, self.V)
+        codes = montecarlo._classify(self.V, *self._rates(p, np.array([0.36, 0.25, 0.09]), self.V.size))
         assert np.array_equal(codes, np.zeros(self.V.size))
         # At the jumps of a batch too: every lossless jump leaves by the mirrors.
         _, batch_codes, _ = simulate_trajectories(p, 8, 0, 2000)
@@ -146,27 +165,40 @@ class TestClassifyJump:
 
     def test_zero_cavity_rate_never_cavity(self):
         # Stand-in with kappa = 0 (the library itself requires kappa > 0):
-        # the cavity weight drops out of the thresholds entirely.
+        # the cavity rate drops out of the thresholds entirely.
         fake = SimpleNamespace(kappa=0.0, gamma=1.0)
-        weights = np.repeat(_state_weights([0.8, 0.4, 0.4]), self.V.size, axis=0)
-        codes = montecarlo._classify(fake, weights, self.V)
+        codes = montecarlo._classify(self.V, *self._rates(fake, np.array([0.64, 0.16, 0.16]), self.V.size))
         assert set(codes.tolist()) == {1, 2}
         assert np.array_equal(codes, np.where(self.V < 0.5, 1, 2))
 
     def test_threshold_order(self, fig_params):
-        weights = _state_weights([0.5, 0.5, 0.5])
         w_cav = 2.0 * fig_params.kappa * 0.25
         w_a = 2.0 * fig_params.gamma * 0.25
         total = w_cav + 2.0 * w_a
         v = np.array([w_cav / total - 1e-9, w_cav / total + 1e-9, (w_cav + w_a) / total + 1e-9])
-        codes = montecarlo._classify(fig_params, np.repeat(weights, 3, axis=0), v)
+        codes = montecarlo._classify(v, *self._rates(fig_params, np.full(3, 0.25), 3))
         assert codes.dtype == np.int8
         assert codes.tolist() == [0, 1, 2]
 
     def test_zero_total_rate_raises(self):
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)  # gamma = 0
         with pytest.raises(ZeroRateError):
-            montecarlo._classify(p, _state_weights([0.0, 1.0, 0.0]), np.array([0.5]))
+            montecarlo._classify(np.array([0.5]), *self._rates(p, np.array([0.0, 1.0, 0.0]), 1))
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_codes_match_amplitude_pick(self, name):
+        # The rates of the converged Newton step pick the same channel as the
+        # amplitudes formed afresh at the returned jump times.
+        params = INVERSION_REGIMES[name]
+        for seed in (2024, 77):
+            times, codes, _ = simulate_trajectories(params, seed, 0, CHUNK)
+            jumped = codes >= 0
+            v = np.random.Generator(np.random.Philox(key=seed, counter=0)).random((CHUNK, 4))[jumped, 1]
+            weights = conditional_state(params, times[jumped]) ** 2
+            w_cav, w_a, w_b = (2.0 * np.array([params.kappa, params.gamma, params.gamma]) * weights).T
+            total = w_cav + w_a + w_b
+            expected = np.where(v < w_cav / total, 0, np.where(v < (w_cav + w_a) / total, 1, 2))
+            assert np.array_equal(codes[jumped], expected)
 
 
 class TestTrajectories:
@@ -279,7 +311,13 @@ class TestInversion:
 
     @staticmethod
     def _kernel_points(params, monkeypatch):
-        """Points of each (P0, w1) kernel call of one chunk, and its jumps."""
+        """Points of each Newton-step kernel call of one chunk, and per jump.
+
+        The chunk runs on a cold start-table cache, whose one table call is
+        counted apart, and again on the warm cache, which must take the same
+        steps and make no table call.  The channel pick evaluates nothing:
+        the amplitudes are never formed.
+        """
         points = []
         factory = montecarlo._survival_kernel
 
@@ -292,21 +330,34 @@ class TestInversion:
 
             return counting
 
+        def no_amplitudes(*args):
+            raise AssertionError("amplitudes formed for the channel pick")
+
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_survival_kernel", counting_factory)
+            patch.setattr(montecarlo, "conditional_state", no_amplitudes)
+            patch.setattr(propagator, "_propagate", no_amplitudes)
+            montecarlo._rate_table.cache_clear()
             _, codes, _ = simulate_trajectories(params, 42, 0, CHUNK)
-        table, *steps = points
+            (table, *steps), points[:] = points, []
+            simulate_trajectories(params, 42, 0, CHUNK)
         assert table == montecarlo._TABLE_POINTS + 1
-        return points, sum(steps) / int(np.sum(codes >= 0))
+        assert points == steps
+        return steps, sum(steps) / int(np.sum(codes >= 0))
 
     def test_kernel_calls_per_chunk(self, monkeypatch):
-        # One table call plus a few Newton steps, each on the trajectories
-        # still active; bisection of [0, horizon], Newton fallen back to
-        # linear convergence, or steps over the whole chunk cost far more.
+        # One table call on a cold cache plus a few Newton steps, each on the
+        # trajectories still active; bisection of [0, horizon], Newton fallen
+        # back to linear convergence, or steps over the whole chunk cost far
+        # more.
         for name in ("paper", "overdamped", "gamma_zero"):
-            points, per_jump = self._kernel_points(INVERSION_REGIMES[name], monkeypatch)
-            assert len(points) <= 6, name
+            steps, per_jump = self._kernel_points(INVERSION_REGIMES[name], monkeypatch)
+            assert len(steps) <= 5, name
             assert per_jump <= 2.5, name
+            if name == "paper":
+                # ~25k points, against 45.6k when the table was rebuilt per
+                # chunk and the amplitudes re-evaluated for the channel.
+                assert sum(steps) <= 27_000
 
     def test_kernel_points_when_kappa_is_small(self, monkeypatch):
         # The staircase defeats the table start, so more steps are taken,
@@ -325,6 +376,69 @@ class TestInversion:
             single = _roots(params, u[i : i + 1])
             assert single[0] == times[i]
             assert abs(emission_probabilities(params, single[0]).p0 - u[i]) <= 1e-13 * u[i]
+
+
+class TestStartTableCache:
+    """``_start_table`` builds each (rates, horizon) table once and shares it."""
+
+    @staticmethod
+    def _outputs(params, seed=42):
+        """A chunk's results and its table, as bytes."""
+        results = simulate_trajectories(params, seed, 0, 4096)
+        table = montecarlo._start_table(params, default_horizon(params))
+        return [np.asarray(a).tobytes() for a in (*results, *table)]
+
+    def test_shared_arrays_are_read_only(self, fig_params):
+        table = montecarlo._start_table(fig_params, default_horizon(fig_params))
+        for array in table[:4]:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cold_and_warm_bit_identical(self):
+        for params in INVERSION_REGIMES.values():
+            montecarlo._rate_table.cache_clear()
+            cold = self._outputs(params)
+            assert montecarlo._rate_table.cache_info().misses == 1
+            warm = self._outputs(params)
+            assert montecarlo._rate_table.cache_info().misses == 1
+            assert cold == warm
+
+    def test_threads_match_serial(self):
+        sets = list(INVERSION_REGIMES.values())
+        serial = [self._outputs(p, seed) for p in sets for seed in (1, 2)]
+        interval = sys.getswitchinterval()
+        montecarlo._rate_table.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(self._outputs, p, seed) for p in sets for seed in (1, 2)]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_negative_zero_rates_share_one_entry(self):
+        # -0.0 and 0.0 are one cache key; the results of either must not
+        # depend on which of them filled the entry.
+        signed = Parameters(g_a=1.0, g_b=-0.0, kappa=1.0, gamma=-0.0)
+        plain = Parameters(g_a=1.0, g_b=0.0, kappa=1.0, gamma=0.0)
+        assert math.copysign(1.0, signed.g_b) == math.copysign(1.0, signed.gamma) == -1.0
+        for params, other in [(signed, plain), (plain, signed)]:
+            montecarlo._rate_table.cache_clear()
+            cold = self._outputs(params)
+            montecarlo._rate_table.cache_clear()
+            self._outputs(other)
+            after_other = self._outputs(params)
+            assert montecarlo._rate_table.cache_info().currsize == 1
+            assert cold == after_other
+
+    def test_cache_is_bounded(self, fig_params):
+        montecarlo._rate_table.cache_clear()
+        maxsize = montecarlo._rate_table.cache_info().maxsize
+        assert maxsize == 128
+        for k in range(maxsize + 5):
+            montecarlo._start_table(fig_params, 50.0 + k)
+        assert montecarlo._rate_table.cache_info().currsize == maxsize
 
 
 class TestEnsemble:

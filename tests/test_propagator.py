@@ -203,21 +203,23 @@ class TestFirstEmissionDensity:
 
     def test_initial_rate_is_spontaneous(self, fig_params):
         # At t = 0 the photon is on atom a: only the 2*gamma channel is open.
-        p0, w1 = propagator._survival_kernel(fig_params)(np.array([0.0]))
+        p0, w1, w_cav, w_a = propagator._survival_kernel(fig_params)(np.array([0.0]))
         assert p0[0] == 1.0
         assert w1[0] == pytest.approx(2.0 * fig_params.gamma, abs=1e-15)
+        assert w_cav[0] == 0.0
+        assert w_a[0] == 2.0 * fig_params.gamma
 
     def test_equals_negative_survival_slope(self, fig_params):
         kernel = propagator._survival_kernel(fig_params)
         for t in np.linspace(0.01, 15.0, 40):
-            _, density = kernel(np.array([t]))
+            density = kernel(np.array([t]))[1]
             slope = -central_difference(lambda x: _p0(fig_params, x), float(t), 1.5e-4)
             assert density[0] == pytest.approx(slope, rel=1e-5)
 
     def test_array_times(self, fig_params):
         kernel = propagator._survival_kernel(fig_params)
         ts = np.linspace(0.01, 15.0, 40)
-        p0, density = kernel(ts)
+        p0, density, *_ = kernel(ts)
         assert p0.shape == density.shape == ts.shape
         singles = [kernel(np.array([t])) for t in ts]
         assert np.array_equal(p0, [one[0][0] for one in singles])
@@ -232,13 +234,26 @@ class TestFirstEmissionDensity:
         params = INVERSION_REGIMES[name]
         horizon = default_horizon(params)
         ts = np.concatenate(([0.0], np.geomspace(1e-9 * horizon, horizon, 4096)))
-        p0, _ = propagator._survival_kernel(params)(ts)
+        p0 = propagator._survival_kernel(params)(ts)[0]
         budget = _p0(params, ts)
         # Relative digits exist only for normal floats; past them (the
         # bright-only gb_zero state underflows) both must be below the range.
         normal = budget >= np.finfo(float).tiny
         assert np.all(np.abs(p0 - budget)[normal] <= 1e-14 * budget[normal])
         assert np.all(p0[~normal] < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_channel_rates_match_amplitudes(self, name):
+        # The cavity and atom-a rates that pick a jump's channel are those of
+        # the amplitudes, and with the atom-b rate they add up to w1.
+        params = INVERSION_REGIMES[name]
+        ts = np.concatenate(([0.0], np.geomspace(1e-6, 50.0 / params.kappa, 200)))
+        _, w1, w_cav, w_a = propagator._survival_kernel(params)(ts)
+        amps = conditional_state(params, ts)
+        rates = 2.0 * np.array([params.kappa, params.gamma, params.gamma]) * amps**2
+        np.testing.assert_allclose(w_cav, rates[:, 0], rtol=1e-13, atol=0.0)
+        assert np.array_equal(w_a, rates[:, 1])
+        np.testing.assert_allclose(w1, rates.sum(axis=-1), rtol=1e-13, atol=1e-300)
 
 
 class TestCavityEmissionProbability:
@@ -367,7 +382,7 @@ class TestDecimalOracle:
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1e6, gamma=1e-3)
         reference = _decimal_survival(p, 1e3)
         assert _relative_error(emission_probabilities(p, 1e3).p0, reference) <= 1e-11
-        p0, _ = propagator._survival_kernel(p)(np.array([1e3]))
+        p0 = propagator._survival_kernel(p)(np.array([1e3]))[0]
         assert _relative_error(p0[0], reference) <= 1e-11
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
