@@ -76,6 +76,12 @@ class Parameters:
             raise ValueError("spontaneous decay rate gamma must be nonnegative")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("detector efficiency eta must lie in [0, 1]")
+        # The closed form squares the rates; x * x gives inf where x**2 raises.
+        coupling_sq = self.g_a * self.g_a + self.g_b * self.g_b
+        split_sq = (self.kappa - self.gamma) * (self.kappa - self.gamma)
+        for name, square in (("g_a^2 + g_b^2", coupling_sq), ("(kappa - gamma)^2", split_sq)):
+            if not math.isfinite(square):
+                raise ValueError(f"rates too large: {name} is not a finite float")
 
     @property
     def coupling_squared(self) -> float:
@@ -88,6 +94,11 @@ def _require_coupling(params: Parameters) -> None:
         raise DegenerateCouplingError(
             "g_a = g_b = 0: no dark state exists for vanishing coupling"
         )
+
+
+def _rate_key(params: Parameters) -> tuple:
+    """The four rates as a cache key, each + 0.0 so that -0.0 and 0.0 share an entry."""
+    return params.g_a + 0.0, params.g_b + 0.0, params.kappa + 0.0, params.gamma + 0.0
 
 
 def _split_squared(params: Parameters) -> float:

@@ -10,17 +10,17 @@ The inversion is safeguarded Newton on log P0(t) - log u, whose slope
 -w1/P0 comes from the total rate w1 = -dP0/dt, the sum of the three.
 
 A batch evaluates the closed form once per point, through
-``propagator._survival_kernel``: P0, w1 and the cavity and atom-a rates,
-from the three real factors alone.  A root's last evaluation is at its
-accepted time, so the rates it leaves behind pick the channel, and the
-amplitudes are never formed.  The start table of (P0, w1) on log-spaced
-times brackets every root; it depends only on the rates and the horizon,
-so it is built once per (g_a, g_b, kappa, gamma, horizon) and shared,
-read-only, by every batch and thread.  Each root starts from the inverse
-cubic Hermite interpolant of t in log P0, whose end slopes -P0/w1 come with
-the table.  Each Newton step evaluates only the roots still active: on the
-paper's set a 16 384-trajectory chunk takes three steps over about 25 000
-points in all, 1.5 per jump, and no other evaluation.
+``propagator._survival_kernel``: from the three real amplitudes there, P0
+(bit for bit the budget's), w1 and the cavity and atom-a rates.  A root's
+last evaluation is at its accepted time, so the rates it leaves behind pick
+the channel.  The start table of (P0, w1) on log-spaced times brackets
+every root; it depends only on the rates and the horizon, so it is built
+once per (g_a, g_b, kappa, gamma, horizon) and shared, read-only, by every
+batch and thread.  Each root starts from the inverse cubic Hermite
+interpolant of t in log P0, whose end slopes -P0/w1 come with the table.
+Each Newton step evaluates only the roots still active: on the paper's set
+a 16 384-trajectory chunk takes three steps over about 25 000 points in
+all, 1.5 per jump, and no other evaluation.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyGridError, NegativeTimeError, SimulationError, ZeroRateError
-from .model import Parameters
+from .model import Parameters, _rate_key
 
 # ``conditional_state`` is no longer called here; the name stays importable
 # from this module because bench/tracing.py wraps montecarlo.conditional_state.
@@ -168,11 +168,7 @@ class _StartTable(NamedTuple):
 
 def _start_table(params: Parameters, horizon: float) -> _StartTable:
     """The start table for the four rates and ``horizon``, built once (see _rate_table)."""
-    # -0.0 and 0.0 are one cache key, so the table is built from + 0.0 and
-    # never depends on which of them filled the entry.
-    return _rate_table(
-        params.g_a + 0.0, params.g_b + 0.0, params.kappa + 0.0, params.gamma + 0.0, horizon + 0.0
-    )
+    return _rate_table(*_rate_key(params), horizon)
 
 
 # Bounded like propagator._rate_projectors: 128 tables of 130 KiB hold every

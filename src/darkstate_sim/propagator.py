@@ -17,12 +17,12 @@ the critical point (S^2 = 0, where M is defective), and the two real bright
 decays when it is overdamped (S^2 < 0).  There the slow rate is taken from
 the product lambda_+ lambda_- = kappa gamma + Omega^2, not from the difference
 (a - sqrt(-S^2))/2, which cancels in a bad cavity (kappa >> Omega).  The
-conditional state grown from |010> is column 1 of U(t), and the cavity
-emission probability is a closed form in the same three factors;
-``emission_probabilities``, the one entry point for the budget, evaluates
-both from one set of factors.  ``_survival_kernel`` gives P0 and its rate
-w1 = -dP0/dt from the factors alone, without the amplitudes, for the Monte
-Carlo root finder.
+conditional state grown from |010> is column 1 of U(t); ``_amplitudes`` forms
+its components (c_100, c_010, c_001), and ``conditional_state``, the budget's
+P0 = c_100^2 + c_010^2 + c_001^2 and the Monte Carlo kernel
+``_survival_kernel`` all read that one evaluation.  The cavity emission
+probability is a closed form in the same three factors, which
+``emission_probabilities``, the one entry point for the budget, shares.
 
 All time-dependent quantities accept scalar or array times; a negative or
 NaN time raises NegativeTimeError and an infinite one ValueError.
@@ -50,6 +50,7 @@ from .model import (
     ConditionalGenerator,
     Parameters,
     _generator_matrix,
+    _rate_key,
     _require_coupling,
     _split_squared,
     conditional_generator,
@@ -121,11 +122,7 @@ def _projectors(params: Parameters) -> np.ndarray:
     is shared by every call on the same four rates, so it is read-only.
     """
     _require_coupling(params)
-    # -0.0 and 0.0 are one cache key, so the array is built from + 0.0 and
-    # never depends on which of them filled the entry.
-    return _rate_projectors(
-        params.g_a + 0.0, params.g_b + 0.0, params.kappa + 0.0, params.gamma + 0.0
-    )
+    return _rate_projectors(*_rate_key(params))
 
 
 # Bounded so that a sweep over many rate sets cannot grow it without limit;
@@ -144,50 +141,41 @@ def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> np.n
 
 
 def _propagate(params: Parameters, factors, basis: np.ndarray) -> np.ndarray:
-    """e0 D + c P + s Q from (e0, c, s) and the rows of ``_projectors`` (or columns).
+    """e0 D + c P + s Q from (e0, c, s), component-major: basis.shape[1:] + t.shape.
 
-    Elementwise, not a matrix product, so that each time's result does not
-    depend on how many times are evaluated together.
+    ``basis`` stacks entries of ``_projectors`` on its first axis (all of it,
+    or a column), so each entry comes back as one contiguous array over the
+    times.  Elementwise, not a matrix product, so that each time's result
+    does not depend on how many times are evaluated together.
     """
     e0, cos_factor, sin_factor = factors
-    total = (
-        np.multiply.outer(e0, basis[0])
-        + np.multiply.outer(cos_factor, basis[1])
-        + np.multiply.outer(sin_factor, basis[2])
-    )
-    return total / params.coupling_squared
+    total = np.multiply.outer(basis[0], e0)
+    total += np.multiply.outer(basis[1], cos_factor)
+    total += np.multiply.outer(basis[2], sin_factor)
+    total /= params.coupling_squared
+    return total
+
+
+def _amplitudes(params: Parameters, factors) -> np.ndarray:
+    """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t)."""
+    return _propagate(params, factors, _projectors(params)[:, :, 1])
 
 
 def _survival_kernel(params: Parameters):
     """P0, w1 and two channel rates at an array of times, for the state from |010>.
 
-    With f = (e0, c, s), the state is B^T f / Omega^2, B holding column 1 of
-    each of Omega^2 (D, P, Q), so P0 = f^T G f / Omega^4 with the Gram matrix
-    G = B B^T, formed here once.  D and P have no (0, 1) entry, so the cavity
-    amplitude is c_100 = -2 g_a s, and with x = 4 g_a^2 s^2 the total rate
-    w1 = -dP0/dt is 2 kappa x + 2 gamma (P0 - x).  The kernel returns
-    (P0, w1, w_cav, w_a): besides the pair, the cavity rate 2 kappa x and the
-    atom-a rate 2 gamma c_010^2, with c_010 = f . B[:, 1] / Omega^2, so that a
-    root's last evaluation also picks its channel.  The full amplitude vector
-    is never formed, and the evaluation is elementwise, so a time's result
-    does not depend on how many times are evaluated together.
+    From the amplitudes of ``_amplitudes``: P0 = c_100^2 + c_010^2 + c_001^2,
+    bit for bit the budget's, the cavity rate w_cav = 2 kappa c_100^2, the
+    atom-a rate w_a = 2 gamma c_010^2, and the total rate w1 = -dP0/dt =
+    w_cav + 2 gamma (c_010^2 + c_001^2), a sum of nonnegative terms, so that
+    a root's last evaluation also picks its channel.  Elementwise.
     """
-    basis = _projectors(params)[:, :, 1]
-    gram = basis @ basis.T / params.coupling_squared**2
-    g_ee, g_ec, g_es = gram[0, 0], 2.0 * gram[0, 1], 2.0 * gram[0, 2]
-    g_cc, g_cs, g_ss = gram[1, 1], 2.0 * gram[1, 2], gram[2, 2]
-    b_e, b_c, b_s = basis[:, 1]
-    cavity_sq = 4.0 * params.g_a**2
-    coupling_sq = params.coupling_squared
     kappa2, gamma2 = 2.0 * params.kappa, 2.0 * params.gamma
 
     def kernel(times: np.ndarray):
-        e0, c, s = _split_factors(params, times)
-        p0 = e0 * (g_ee * e0 + g_ec * c + g_es * s) + c * (g_cc * c + g_cs * s) + g_ss * s * s
-        x = cavity_sq * s * s
-        c_010 = (e0 * b_e + c * b_c + s * b_s) / coupling_sq
-        w_cav = kappa2 * x
-        return p0, w_cav + gamma2 * (p0 - x), w_cav, gamma2 * c_010**2
+        cavity, atom_a, atom_b = _amplitudes(params, _split_factors(params, times)) ** 2
+        w_cav = kappa2 * cavity
+        return cavity + atom_a + atom_b, w_cav + gamma2 * (atom_a + atom_b), w_cav, gamma2 * atom_a
 
     return kernel
 
@@ -220,7 +208,8 @@ class Propagator:
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
         params = self.generator.params
-        return _propagate(params, _split_factors(params, _check_times(t)), self._basis)
+        entries = _propagate(params, _split_factors(params, _check_times(t)), self._basis)
+        return np.ascontiguousarray(np.moveaxis(entries, (0, 1), (-2, -1)))
 
 
 def conditional_state(params: Parameters, t) -> np.ndarray:
@@ -231,7 +220,8 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     precessing with S/2 (or at the two real bright rates when overdamped).
     Returns real amplitudes of shape t.shape + (3,).
     """
-    return _propagate(params, _split_factors(params, _check_times(t)), _projectors(params)[:, :, 1])
+    amps = _amplitudes(params, _split_factors(params, _check_times(t)))
+    return np.ascontiguousarray(np.moveaxis(amps, 0, -1))
 
 
 def cavity_emission_saturation(params: Parameters) -> float:
@@ -281,14 +271,14 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     factors = _split_factors(params, times)
     _, cos_factor, sin_factor = factors
     mean_decay = params.kappa + params.gamma
-    amps = _propagate(params, factors, _projectors(params)[:, :, 1])
+    cavity, atom_a, atom_b = _amplitudes(params, factors) ** 2
     bracket = (
         1.0
         - np.exp(-mean_decay * times)
         - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     )
     raw = np.empty((3,) + times.shape)
-    raw[0] = np.sum(amps**2, axis=-1)
+    raw[0] = cavity + atom_a + atom_b
     raw[1] = cavity_emission_saturation(params) * bracket
     p0, p_cav = np.clip(raw[:2], 0.0, 1.0)
     raw[2] = 1.0 - p0 - p_cav

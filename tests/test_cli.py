@@ -23,6 +23,16 @@ from darkstate_sim.cli import build_parser, main
 SATURATION = 0.4992508740634678
 
 HELP_PAGES = Path(__file__).parent / "data" / "cli_help"
+GOLDEN_TABLES = Path(__file__).parent / "data" / "golden"
+# (g_a, g_b, kappa, gamma) of each committed closed-form table; "critical"
+# is kappa = 10 + 2^-10, gamma = 2^-10, where S^2 = 0 exactly.
+GOLDEN_SETS = {
+    "paper": ("1", "1", "1", "1e-3"),
+    "overdamped": ("1", "1", "20", "1e-3"),
+    "critical": ("3", "4", "10.0009765625", "0.0009765625"),
+    "gamma_zero": ("1", "0.6", "1", "0"),
+    "gb_zero": ("1", "0", "1", "1e-3"),
+}
 SUBCOMMANDS = [
     name
     for action in build_parser()._actions
@@ -109,6 +119,25 @@ class TestAmplitudesCommand:
         assert rows[-1, 1] < 1e-6
         assert rows[-1, 2] == pytest.approx(plateau, abs=1e-3)
         assert rows[-1, 3] == pytest.approx(plateau, abs=1e-3)
+
+
+class TestGoldenTables:
+    """The closed-form tables, byte for byte as committed in data/golden.
+
+    Each file is the output of ``darkstate-sim <command> --ga G_A --gb G_B
+    --kappa KAPPA --gamma GAMMA --out data/golden/<command>_<set>.csv`` on the
+    default grid, so a rewrite of the closed form is checked against fixed
+    outputs.
+    """
+
+    @pytest.mark.parametrize("command", ["amplitudes", "probabilities"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
+    def test_matches_committed_table(self, capsys, command, name):
+        g_a, g_b, kappa, gamma = GOLDEN_SETS[name]
+        rates = ["--ga", g_a, "--gb", g_b, "--kappa", kappa, "--gamma", gamma]
+        code, out, err = _run(capsys, [command, *rates])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN_TABLES / f"{command}_{name}.csv").read_bytes()
 
 
 class TestFidelityCommand:
@@ -269,6 +298,16 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert err == "error: cavity decay rate kappa must be positive\n"
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--ga", "1e200"], "g_a^2 + g_b^2"), (["--kappa", "1e200"], "(kappa - gamma)^2")],
+    )
+    def test_overflowing_rates_exit_2(self, capsys, flags, name):
+        code, out, err = _run(capsys, ["probabilities", *flags])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: rates too large: {name} is not a finite float\n"
 
     def test_unknown_option_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

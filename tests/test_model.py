@@ -39,6 +39,25 @@ class TestParameters:
         with pytest.raises(ValueError):
             Parameters(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(g_a=1e200, g_b=1.0, kappa=1.0), "g_a^2 + g_b^2"),
+            (dict(g_a=1.0, g_b=1e200, kappa=1.0), "g_a^2 + g_b^2"),
+            (dict(g_a=1e154, g_b=1e154, kappa=1.0), "g_a^2 + g_b^2"),  # only the sum overflows
+            (dict(g_a=1.0, g_b=1.0, kappa=1e200), "(kappa - gamma)^2"),
+            (dict(g_a=1.0, g_b=1.0, kappa=1.0, gamma=1e200), "(kappa - gamma)^2"),
+        ],
+    )
+    def test_rates_whose_squares_overflow_rejected(self, kwargs, name):
+        with pytest.raises(ValueError) as info:
+            Parameters(**kwargs)
+        assert str(info.value) == f"rates too large: {name} is not a finite float"
+
+    def test_large_rates_with_finite_squares_accepted(self):
+        p = Parameters(g_a=1e150, g_b=1e150, kappa=1e200, gamma=1e200)
+        assert p.coupling_squared == pytest.approx(2e300)
+
     def test_zero_couplings_allowed_but_generator_refuses(self):
         p = Parameters(g_a=0.0, g_b=0.0, kappa=1.0)
         assert p.coupling_squared == 0.0

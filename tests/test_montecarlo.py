@@ -316,10 +316,11 @@ class TestInversion:
         The chunk runs on a cold start-table cache, whose one table call is
         counted apart, and again on the warm cache, which must take the same
         steps and make no table call.  The channel pick evaluates nothing:
-        the amplitudes are never formed.
+        the amplitudes are formed only inside the kernel calls.
         """
-        points = []
+        points, amplitude_points = [], []
         factory = montecarlo._survival_kernel
+        amplitudes = propagator._amplitudes
 
         def counting_factory(p):
             kernel = factory(p)
@@ -330,19 +331,24 @@ class TestInversion:
 
             return counting
 
+        def counting_amplitudes(p, factors):
+            amplitude_points.append(np.size(factors[0]))
+            return amplitudes(p, factors)
+
         def no_amplitudes(*args):
             raise AssertionError("amplitudes formed for the channel pick")
 
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_survival_kernel", counting_factory)
             patch.setattr(montecarlo, "conditional_state", no_amplitudes)
-            patch.setattr(propagator, "_propagate", no_amplitudes)
+            patch.setattr(propagator, "_amplitudes", counting_amplitudes)
             montecarlo._rate_table.cache_clear()
             _, codes, _ = simulate_trajectories(params, 42, 0, CHUNK)
             (table, *steps), points[:] = points, []
             simulate_trajectories(params, 42, 0, CHUNK)
         assert table == montecarlo._TABLE_POINTS + 1
         assert points == steps
+        assert amplitude_points == [table, *steps, *steps]
         return steps, sum(steps) / int(np.sum(codes >= 0))
 
     def test_kernel_calls_per_chunk(self, monkeypatch):
