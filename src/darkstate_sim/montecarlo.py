@@ -13,14 +13,18 @@ A batch evaluates the closed form once per point, through
 ``propagator._survival_kernel``: from the three real amplitudes there, P0
 (bit for bit the budget's), w1 and the cavity and atom-a rates.  A root's
 last evaluation is at its accepted time, so the rates it leaves behind pick
-the channel.  The start table of (P0, w1) on log-spaced times brackets
-every root; it depends only on the rates and the horizon, so it is built
-once per (g_a, g_b, kappa, gamma, horizon) and shared, read-only, by every
-batch and thread.  Each root starts from the inverse cubic Hermite
-interpolant of t in log P0, whose end slopes -P0/w1 come with the table.
-Each Newton step evaluates only the roots still active: on the paper's set
-a 16 384-trajectory chunk takes three steps over about 25 000 points in
-all, 1.5 per jump, and no other evaluation.
+the channel.  The start table on log-spaced times brackets every root; it
+depends only on the rates and the horizon, so it is built once per (g_a,
+g_b, kappa, gamma, horizon) and shared, read-only, by every batch and
+thread.  Each root starts from one Horner evaluation of the inverse quintic
+Hermite interpolant of t in log P0 on its interval, whose coefficients the
+table stores; they match dt/dlog P0 and d2t/dlog P0^2, both from the
+amplitudes at the table times.  Each Newton step evaluates only the roots
+still active: on the paper's set a 16 384-trajectory chunk takes two steps
+over about 19 000 points in all, 1.15 per jump, and no other evaluation.
+
+A batch computes in buffers of its thread (``_Workspace``) that live from
+call to call, so a run of chunks neither grows nor trims the heap.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
@@ -38,18 +42,20 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyGridError, NegativeTimeError, SimulationError, ZeroRateError
-from .model import Parameters, _rate_key
+from .model import Parameters, _generator_matrix, _rate_key
 
 # ``conditional_state`` is no longer called here; the name stays importable
 # from this module because bench/tracing.py wraps montecarlo.conditional_state.
-from .propagator import _survival_kernel, conditional_state  # noqa: F401
+from .propagator import _KERNEL_ROWS, _survival_kernel, conditional_state  # noqa: F401
 
 # Start table of P0: t = 0 plus _TABLE_POINTS log-spaced times up to the
 # horizon, from _TABLE_START * horizon or, when that lies past the bright
@@ -66,23 +72,14 @@ _TRANSIENT_START = 1e-3
 # bracket is _BRACKET_ULPS ulp wide, or once a Newton step leaves t unchanged.
 # A stop test on the step size alone never fires where round-off in P0 moves
 # the Newton step by more than a few ulp.  _MAX_STEPS guards termination (a
-# root still moving after it raises SimulationError): from the table start,
-# batches stop within 2 to 5 steps, or about 20 when kappa << Omega makes P0
-# a staircase finer than the table (each step over fewer roots: 1 to 2
-# kernel points per jump in all, 6 to 7 on the staircase, the cached table
-# not counted).
+# root still moving after it raises SimulationError): from the quintic start,
+# batches stop within 2 or 3 steps, most roots at their first evaluation, or
+# about 20 when kappa << Omega makes P0 a staircase finer than the table
+# (each step over fewer roots: 1.0 to 1.3 kernel points per jump in all,
+# 4 to 6 on the staircases, the cached table not counted).
 _RESIDUAL_TOL = 1e-15
 _BRACKET_ULPS = 4
 _MAX_STEPS = 200
-# The jump batch and the active set of each inversion step are padded to a
-# multiple of _WIDTH_QUANTUM elements with copies of one of their elements,
-# which evolve exactly like it and write back equal values.  Unpadded, their
-# arrays took ever-changing sizes, and a process running chunk after chunk
-# while keeping small results grew its peak RSS, the heap pinned by freed
-# blocks of odd sizes between the kept ones.  Padded, the float arrays never
-# go below 1 KiB and take sizes from a short list that later chunks reuse.
-_WIDTH_QUANTUM = 128
-
 _DRAWS_PER_TRAJECTORY = 4  # one Philox block
 _CHUNK = 16384
 
@@ -137,14 +134,17 @@ def default_horizon(params: Parameters) -> float:
     return 50.0 / params.kappa
 
 
-def _uniform_blocks(seed: int, start: int, count: int) -> np.ndarray:
-    """The (count, 4) uniform draws for trajectories start..start+count-1."""
+def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """The uniform draws for trajectories start, start+1, ..., one row each, into ``out``.
+
+    ``out`` is a C-contiguous (count, 4) array.
+    """
     bitgen = np.random.Philox(key=seed, counter=start)
-    return np.random.Generator(bitgen).random((count, _DRAWS_PER_TRAJECTORY))
+    return np.random.Generator(bitgen).random(out=out)
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
@@ -154,15 +154,16 @@ class _StartTable(NamedTuple):
     """The start table of ``simulate_trajectories``, shared read-only.
 
     ``times`` are the table times, ``descending`` is -E for the monotone
-    envelope E = minimum.accumulate(P0) (ascending, for searchsorted),
-    ``log_envelope`` is log E, ``tangent`` is dt/dlog P0 = -P0/w1, and
-    ``p0_end`` is P0 at the horizon.
+    envelope E = minimum.accumulate(P0) (ascending, for searchsorted), and
+    ``p0_end`` is P0 at the horizon.  Row k of ``intervals`` belongs to
+    [times[k], times[k+1]]: log E[k], the inverse height 1/(log E[k+1] -
+    log E[k]), and the coefficients a_0 .. a_5 of the quintic t = sum a_j s^j
+    in s = (log u - log E[k]) * inverse height (see _inverse_quintic).
     """
 
     times: np.ndarray
     descending: np.ndarray
-    log_envelope: np.ndarray
-    tangent: np.ndarray
+    intervals: np.ndarray
     p0_end: float
 
 
@@ -171,128 +172,260 @@ def _start_table(params: Parameters, horizon: float) -> _StartTable:
     return _rate_table(*_rate_key(params), horizon)
 
 
-# Bounded like propagator._rate_projectors: 128 tables of 130 KiB hold every
+# Bounded like propagator._rate_projectors: 128 tables of 320 KiB hold every
 # rate set and horizon a CLI run or a benchmark round cycles through.
 @functools.lru_cache(maxsize=128)
 def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: float) -> _StartTable:
     first = min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma))
     times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
     times[-1] = horizon
-    with np.errstate(over="ignore", invalid="ignore"):
-        p0, w1, _, _ = _survival_kernel(Parameters(g_a, g_b, kappa, gamma))(times)
-    if not (np.isfinite(p0).all() and np.isfinite(w1).all()):
-        raise SimulationError(f"survival law not finite on [0, {horizon!r}]: the horizon is too long")
+    p0, tangent, curvature = _inverse_derivatives(Parameters(g_a, g_b, kappa, gamma), times)
     envelope = np.minimum.accumulate(p0)
+    intervals = np.empty((_TABLE_POINTS, 8))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        arrays = times, -envelope, np.log(envelope), -p0 / w1
+        log_envelope = np.log(envelope)
+        height = np.diff(log_envelope)
+        intervals[:, 0] = log_envelope[:-1]
+        np.divide(1.0, height, out=intervals[:, 1])
+        _inverse_quintic(times, height, tangent, curvature, out=intervals[:, 2:])
+    arrays = times, -envelope, intervals
     for array in arrays:
         array.setflags(write=False)
     return _StartTable(*arrays, float(p0[-1]))
 
 
-def _bracket_from_table(table: _StartTable, u):
+def _inverse_derivatives(params: Parameters, times: np.ndarray):
+    """P0 at ``times``, and dt/dy and d2t/dy2 of its inverse t(y), y = log P0.
+
+    With y' = -w1/P0 and y'' = -w1'/P0 - y'^2, the inverse has dt/dy = 1/y'
+    = -P0/w1 and d2t/dy2 = -y''/y'^3.  All of it comes from one kernel
+    evaluation: the kernel leaves the amplitudes c in its rows 0 to 2, and
+    dc/dt = -M c, so that w1' = 4 kappa c_100 c_100' + 4 gamma (c_010 c_010'
+    + c_001 c_001').  Raises SimulationError where P0 or w1 is not finite.
+    """
+    buffer = np.empty((_KERNEL_ROWS, times.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, w1, _, _ = _survival_kernel(params)(times, buffer)
+    if not (np.isfinite(p0).all() and np.isfinite(w1).all()):
+        raise SimulationError(f"survival law not finite on [0, {times[-1]!r}]: the horizon is too long")
+    products = np.matmul(-_generator_matrix(params), buffer[:3])
+    products *= buffer[:3]
+    w1_rate = np.add(products[1], products[2], out=products[1])
+    w1_rate *= 4.0 * params.gamma
+    w1_rate += 4.0 * params.kappa * products[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = -w1 / p0
+        curvature = (w1_rate / p0 + slope * slope) / (slope * slope * slope)
+        return p0.copy(), -p0 / w1, curvature
+
+
+def _inverse_quintic(times, height, tangent, curvature, out) -> None:
+    """Monomial coefficients (a_0 .. a_5) of t(s) on each table interval, into the rows of ``out``.
+
+    The quintic Hermite interpolant in s in [0, 1] that matches t, dt/ds =
+    height * tangent and d2t/ds2 = height^2 * curvature at both ends, where
+    tangent and curvature are dt/dy and d2t/dy2 at the table times.  Where
+    they are not finite (w1 = 0 at t = 0 when gamma = 0) or the height is 0
+    (a flat step of the envelope), so are the coefficients.
+    """
+    span = np.diff(times)
+    v0, v1 = height * tangent[:-1], height * tangent[1:]
+    square = height * height
+    c0, c1 = square * curvature[:-1], square * curvature[1:]
+    out[:, 0] = times[:-1]
+    out[:, 1] = v0
+    out[:, 2] = 0.5 * c0
+    out[:, 3] = 10.0 * span - 6.0 * v0 - 4.0 * v1 - 1.5 * c0 + 0.5 * c1
+    out[:, 4] = -15.0 * span + 8.0 * v0 + 7.0 * v1 + 1.5 * c0 - c1
+    out[:, 5] = 6.0 * span - 3.0 * (v0 + v1) - 0.5 * (c0 - c1)
+
+
+class _Workspace(threading.local):
+    """Scratch buffers of ``simulate_trajectories``, one set per thread.
+
+    Every intermediate array of a chunk is written into them (``out=``), each
+    viewed as a contiguous (rows, n) prefix (``_rows``) for the n roots at
+    hand.  They live from chunk to chunk and from call to call, so a run of
+    chunks allocates little beyond its results.  Fresh arrays would grow the
+    heap by about 2 MiB per chunk, the allocator would trim it back when the
+    call ends, and the next call would fault the same pages in again.  The
+    buffers grow to the widest chunk seen on the thread.
+    """
+
+    width = 0
+
+    def reserve(self, width: int) -> "_Workspace":
+        if width > self.width:
+            self.draws = np.empty(_DRAWS_PER_TRAJECTORY * width)
+            self.states = np.empty((2, _STATE_ROWS * width))  # current and next Newton state
+            self.kernel = np.empty(_KERNEL_ROWS * width)  # also the bracket's interval rows
+            self.scratch = np.empty(_SCRATCH_ROWS * width)
+            self.roots = np.empty(4 * width)
+            self.flags = np.empty(3 * width, dtype=bool)
+            self.identity = np.arange(width)
+            self.index = np.empty((2, width), dtype=np.intp)
+            self.width = width
+        return self
+
+
+_WORKSPACE = _Workspace()
+
+# Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the
+# step before last, which trade rows each step.
+_LO, _HI, _STEP, _STEP_OLD = 1, 2, 4, 5
+_STATE_ROWS = 6
+_SCRATCH_ROWS = 6
+
+
+def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first rows * width elements of a flat buffer, as a C-contiguous (rows, width) array."""
+    return buffer[: rows * width].reshape(rows, width)
+
+
+def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace):
     """log u, bracket [lo, hi] and start for each root of P0(t) = u from the table.
 
     The bracket is the pair of neighbouring table times around u (on the
     monotone envelope, which absorbs round-off wiggles of P0).  The start is
-    the inverse cubic Hermite interpolant of t in log P0 through the two
-    table points, whose end slopes dt/dlog P0 = -P0/w1 come with the table.
-    Where that start is not finite or leaves the bracket (w1 = 0 at t = 0
-    when gamma = 0, the flat steps of a staircase), log P0 is interpolated
-    linearly instead, and the bracket is halved where that fails too.
-    u = 1 starts at t = 0 exactly.
+    one Horner evaluation of the interval's inverse quintic Hermite
+    interpolant of t in log P0 (``_StartTable``).  Only the roots whose start
+    is not finite or leaves the bracket (w1 = 0 at t = 0 when gamma = 0, the
+    flat steps of a staircase) fall back to linear interpolation of log P0,
+    and to the bracket's midpoint where that fails too.  u = 1 starts at t = 0
+    exactly.  The four rows are written into the first Newton state of
+    ``work``, which must not hold ``u`` there.
     """
-    times, log_table, tangent = table.times, table.log_envelope, table.tangent
-    upper = np.clip(np.searchsorted(table.descending, -u, side="left"), 1, times.size - 1)
-    lower = upper - 1
-    lo, hi = times[lower], times[upper]
+    n = u.size
+    log_u, lo, hi, t = _rows(work.states[0], _STATE_ROWS, n)[:4]
+    share = _rows(work.scratch, _SCRATCH_ROWS, n)[0]
+    flag, inside, _ = _rows(work.flags, 3, n)
+    times = table.times
+    upper = np.searchsorted(table.descending, np.negative(u, out=t), side="left")
+    np.clip(upper, 1, times.size - 1, out=upper)
+    np.take(times, upper, out=hi, mode="clip")
+    upper -= 1
+    np.take(times, upper, out=lo, mode="clip")
+    rows = np.take(table.intervals, upper, axis=0, out=_rows(work.kernel, n, 8), mode="clip")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        height = log_table[upper] - log_table[lower]
-        log_u = np.log(u)
-        share = (log_u - log_table[lower]) / height
-        rest = 1.0 - share
-        hermite = rest * rest * ((1.0 + 2.0 * share) * lo + share * height * tangent[lower]) + (
-            share * share * ((3.0 - 2.0 * share) * hi - rest * height * tangent[upper])
-        )
-        linear = lo + share * (hi - lo)
-    start = np.where((linear >= lo) & (linear <= hi), linear, 0.5 * (lo + hi))
-    start = np.where((hermite >= lo) & (hermite <= hi), hermite, start)
-    return log_u, lo, hi, np.where(u < 1.0, start, 0.0)
+        np.log(u, out=log_u)
+        np.subtract(log_u, rows[:, 0], out=share)
+        share *= rows[:, 1]
+        np.multiply(rows[:, 7], share, out=t)
+        for column in (6, 5, 4, 3):
+            t += rows[:, column]
+            t *= share
+        t += rows[:, 2]
+    np.greater_equal(t, lo, out=inside)
+    inside &= np.less_equal(t, hi, out=flag)
+    if not inside.all():
+        bad = np.flatnonzero(~inside)
+        lo_bad, hi_bad = lo[bad], hi[bad]
+        with np.errstate(invalid="ignore", over="ignore"):
+            linear = lo_bad + share[bad] * (hi_bad - lo_bad)
+        t[bad] = np.where((linear >= lo_bad) & (linear <= hi_bad), linear, 0.5 * (lo_bad + hi_bad))
+    np.copyto(t, 0.0, where=np.greater_equal(u, 1.0, out=flag))
+    return log_u, lo, hi, t
 
 
-def _invert_survival(kernel, log_u, lo, hi, t):
+def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
     """Safeguarded Newton (Numerical Recipes ``rtsafe``) on log P0(t) = log u.
 
-    ``kernel(t)`` returns (P0, w1, w_cav, w_a) at an array of times, where
-    w1 = -dP0/dt is the total emission rate, so that -w1/P0 is the slope of
-    log P0.  Each root must satisfy P0(lo) > u >= P0(hi), and ``t`` is a
-    start inside [lo, hi].  A Newton step that leaves the bracket, or that
-    does not halve the step before last, becomes a bisection, and every
+    ``kernel(t, out)`` returns (P0, w1, w_cav, w_a) at an array of times,
+    where w1 = -dP0/dt is the total emission rate, so that -w1/P0 is the
+    slope of log P0.  Each root must satisfy P0(lo) > u >= P0(hi), and ``t``
+    is a start inside [lo, hi].  A Newton step that leaves the bracket, or
+    that does not halve the step before last, becomes a bisection, and every
     evaluation tightens the bracket.  Each element stops on its own rule (see
     _RESIDUAL_TOL).  Only the elements still active are evaluated: each step
-    gathers them into short arrays (see _WIDTH_QUANTUM), and every step
-    writes back the time it evaluated with the rates there, so an element
-    that stops leaves its last evaluation.  The kernel is elementwise, so a
-    result never depends on the rest of the batch.  Elements with u = 1
-    stop at their start t = 0, at residual 0.
+    gathers them into the first columns of the other state buffer of
+    ``work``, and every step writes back the time it evaluated with the
+    rates there, so an element that stops leaves its last evaluation.  The
+    kernel is elementwise, so a result never depends on the rest of the
+    batch.  Elements with u = 1 stop at their start t = 0, at residual 0.
 
-    Returns the times and the rates (w1, w_cav, w_a) at them; raises
-    SimulationError if some root still moves after _MAX_STEPS steps.
+    Returns the (4, n) rows of the times and the rates (w1, w_cav, w_a) at
+    them, in ``work``; raises SimulationError if some root still moves after
+    _MAX_STEPS steps.
     """
-    times, total, cavity, atom_a = np.empty((4, t.size))
-    index = np.arange(t.size)
-    step = step_old = hi - lo
-    for _ in range(_MAX_STEPS):
-        p0, w1, w_cav, w_a = kernel(t)
+    n = t.size
+    state = _rows(work.states[0], _STATE_ROWS, n)
+    for row, value in zip(state, (log_u, lo, hi, t)):
+        np.copyto(row, value)  # nothing to copy where the bracket wrote them
+    np.subtract(state[_HI], state[_LO], out=state[_STEP])
+    np.copyto(state[_STEP_OLD], state[_STEP])
+    roots = _rows(work.roots, 4, n)
+    index = work.identity[:n]
+    old_row = _STEP_OLD
+    for number in range(_MAX_STEPS):
+        log_u, lo, hi, t = state[:4]
+        p0, w1, w_cav, w_a = kernel(t, _rows(work.kernel, _KERNEL_ROWS, n))
+        for row, value in zip(roots, (t, w1, w_cav, w_a)):
+            row[index] = value
+        residual, newton, t_newton, width, half, t_next = _rows(work.scratch, _SCRATCH_ROWS, n)
+        flag, ok, moving = _rows(work.flags, 3, n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            residual = np.log(p0) - log_u
-            newton = residual * p0 / w1  # -f/f' for f = log P0 - log u
-        lo = np.where(residual > 0.0, t, lo)
-        hi = np.where(residual <= 0.0, t, hi)
-        t_newton = t + newton
-        bisect = ~((t_newton > lo) & (t_newton < hi) & (2.0 * np.abs(newton) <= np.abs(step_old)))
-        half = 0.5 * (hi - lo)
-        step_old, step = step, np.where(bisect, half, newton)
-        t_next = np.where(bisect, lo + half, t_newton)
-        moving = (
-            (np.abs(residual) > _RESIDUAL_TOL)
-            & (hi - lo > _BRACKET_ULPS * np.spacing(hi))
-            & (t_next != t)
-        )
-        times[index], total[index], cavity[index], atom_a[index] = t, w1, w_cav, w_a
+            np.log(p0, out=residual)
+            residual -= log_u
+            np.multiply(residual, p0, out=newton)
+            newton /= w1  # -f/f' for f = log P0 - log u
+        np.copyto(lo, t, where=np.greater(residual, 0.0, out=flag))
+        np.copyto(hi, t, where=np.less_equal(residual, 0.0, out=flag))
+        np.greater(np.abs(residual, out=residual), _RESIDUAL_TOL, out=moving)
+        spare = residual  # free from here on
+        np.add(t, newton, out=t_newton)
+        # A Newton step is taken where it stays inside the bracket and at
+        # least halves the step before last; elsewhere the bracket is halved.
+        np.greater(t_newton, lo, out=ok)
+        ok &= np.less(t_newton, hi, out=flag)
+        np.abs(newton, out=spare)
+        spare *= 2.0
+        ok &= np.less_equal(spare, np.abs(state[old_row], out=width), out=flag)
+        np.subtract(hi, lo, out=width)
+        np.multiply(0.5, width, out=half)
+        np.add(lo, half, out=t_next)
+        np.copyto(t_next, t_newton, where=ok)
+        # The new step takes the row of the step before last.
+        np.copyto(state[old_row], half)
+        np.copyto(state[old_row], newton, where=ok)
+        np.spacing(hi, out=spare)
+        spare *= _BRACKET_ULPS
+        moving &= np.greater(width, spare, out=flag)
+        moving &= np.not_equal(t_next, t, out=flag)
         count = np.count_nonzero(moving)
         if count == 0:
-            return times, total, cavity, atom_a
-        # The moving elements, in order, padded with copies of the first.
-        # The buffer takes the full current width, a size already in use.
-        width = min(moving.size, -(-count // _WIDTH_QUANTUM) * _WIDTH_QUANTUM)
-        keep = np.empty(moving.size, np.intp)[:width]
-        keep[:count] = np.flatnonzero(moving)
-        keep[count:] = keep[0]
-        index, log_u, lo, hi, t, step, step_old = (
-            array[keep] for array in (index, log_u, lo, hi, t_next, step, step_old)
-        )
+            return roots
+        np.copyto(t, t_next)
+        keep = np.flatnonzero(moving)
+        following = _rows(work.states[(number + 1) % 2], _STATE_ROWS, count)
+        state = np.take(state, keep, axis=1, out=following, mode="clip")
+        index = np.take(index, keep, out=work.index[number % 2][:count], mode="clip")
+        old_row = _STEP + _STEP_OLD - old_row
+        n = count
     raise SimulationError(
         f"waiting-time inversion did not converge in {_MAX_STEPS} steps "
-        f"(bracket [{lo[0]:.6g}, {hi[0]:.6g}])"
+        f"(bracket [{state[_LO, 0]:.6g}, {state[_HI, 0]:.6g}])"
     )
 
 
-def _classify(v, total, cavity, atom_a) -> np.ndarray:
+def _classify(v, total, cavity, atom_a, out) -> np.ndarray:
     """Channel codes from the rates (w1, w_cav, w_a) at the jumps.
 
     Thresholds are cumulative in the fixed order CAVITY, SPON_A, SPON_B:
     v < w_cav/w1 selects CAVITY, v < (w_cav+w_a)/w1 selects SPON_A, and
-    SPON_B otherwise.  Raises ZeroRateError where the total rate w1 is not
+    SPON_B otherwise.  The code is the number of thresholds at or below v,
+    which grow in that order.  ``out`` holds two arrays of the rates' shape
+    for the thresholds.  Raises ZeroRateError where the total rate w1 is not
     positive.
     """
     if (total <= 0.0).any():
         raise ZeroRateError("total emission rate vanishes at the jump state")
-    return np.where(
-        v < cavity / total,
-        _CODE_CAVITY,
-        np.where(v < (cavity + atom_a) / total, _CODE_SPON_A, _CODE_SPON_B),
-    ).astype(np.int8)
+    cavity_share, atom_share = out
+    np.divide(cavity, total, out=cavity_share)
+    np.add(cavity, atom_a, out=atom_share)
+    atom_share /= total
+    codes = np.greater_equal(v, cavity_share).view(np.int8)
+    codes += np.greater_equal(v, atom_share)
+    return codes
 
 
 def simulate_trajectories(
@@ -310,6 +443,7 @@ def simulate_trajectories(
     index range is split into batches.
     """
     seed = _check_seed(seed)
+    start, count = operator.index(start), operator.index(count)
     if start < 0 or count < 1:
         raise ValueError("need start >= 0 and count >= 1")
     if horizon is None:
@@ -320,10 +454,13 @@ def simulate_trajectories(
     if horizon <= 0.0:
         raise NegativeTimeError("horizon must be positive")
 
-    draws = _uniform_blocks(seed, start, count)
-    u = 1.0 - draws[:, 0]  # in (0, 1]: u = 1 must map to t = 0 exactly
-    v = draws[:, 1]
-    detect_draw = draws[:, 2]
+    # A thread keeps buffers for chunks of up to _CHUNK trajectories (about
+    # 5 MiB); a wider batch computes in buffers of its own call.
+    work = (_WORKSPACE if count <= _CHUNK else _Workspace()).reserve(count)
+    draws = _uniform_blocks(seed, start, _rows(work.draws, count, _DRAWS_PER_TRAJECTORY))
+    # The second Newton state is free until the inversion's first step.
+    u, sorted_u = _rows(work.states[1], 2, count)
+    np.subtract(1.0, draws[:, 0], out=u)  # in (0, 1]: u = 1 must map to t = 0 exactly
 
     times = np.full(count, np.nan)
     codes = np.full(count, _CODE_NONE, dtype=np.int8)
@@ -332,21 +469,28 @@ def simulate_trajectories(
     table = _start_table(params, horizon)
     # The jumping trajectories, in increasing u: neighbours then take alike
     # paths through the inversion, and the table search walks in one
-    # direction.  Padded with copies of the last one (see _WIDTH_QUANTUM).
+    # direction.
     order = np.argsort(u)
-    first = np.searchsorted(u[order], table.p0_end, side="right")
+    np.take(u, order, out=sorted_u, mode="clip")
+    first = int(np.searchsorted(sorted_u, table.p0_end, side="right"))
     if first == count:
         return times, codes, detected
-    jumping = np.full(-(-(count - first) // _WIDTH_QUANTUM) * _WIDTH_QUANTUM, order[-1])
-    jumping[: count - first] = order[first:]
+    jumping = order[first:]
 
-    bracket = _bracket_from_table(table, u[jumping])
-    t_jump, *rates = _invert_survival(_survival_kernel(params), *bracket)
-    code_j = _classify(v[jumping], *rates)
+    bracket = _bracket_from_table(table, sorted_u[first:], work)
+    t_jump, *rates = _invert_survival(_survival_kernel(params), *bracket, work)
+    jumps = jumping.size
+    v, detect_draw, *thresholds = _rows(work.scratch, _SCRATCH_ROWS, jumps)[:4]
+    np.take(draws[:, 1], jumping, out=v, mode="clip")
+    code_j = _classify(v, *rates, out=thresholds)
+    np.take(draws[:, 2], jumping, out=detect_draw, mode="clip")
+    cavity_click, flag, _ = _rows(work.flags, 3, jumps)
+    np.equal(code_j, _CODE_CAVITY, out=cavity_click)
+    cavity_click &= np.less(detect_draw, params.eta, out=flag)
 
     times[jumping] = t_jump
     codes[jumping] = code_j
-    detected[jumping] = (code_j == _CODE_CAVITY) & (detect_draw[jumping] < params.eta)
+    detected[jumping] = cavity_click
     return times, codes, detected
 
 
@@ -393,7 +537,7 @@ def run_ensemble(
     DARKSTATE_THREADS environment variable (which also caps an explicit
     request), else 1; a count below 1 from either raises ValueError.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("ensemble size n must be at least 1")
     seed = _check_seed(seed)

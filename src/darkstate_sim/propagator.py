@@ -92,27 +92,53 @@ def _clipped_probability(p: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _split_factors(params: Parameters, times: np.ndarray):
-    """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring)."""
+# Keyword arguments of ufunc calls that allocate their result.  A ufunc passed
+# out=None leaves numpy's fast path for scalars, and the closed forms are
+# called at scalar times too, so ``out`` is passed only when there is one.
+_NO_OUT = ({}, {}, {})
+
+
+def _split_factors(params: Parameters, times: np.ndarray, out=None):
+    """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring).
+
+    ``out``, when given, is an array of shape (3,) + t.shape that receives
+    them, row by row, with no array allocated; otherwise they are new arrays
+    (scalars at a 0-d t).  Each factor starts as a ufunc result and is
+    finished in place, so both paths do the same operations in the same
+    order.
+    """
+    into_e0, into_cos, into_sin = _NO_OUT if out is None else ({"out": row} for row in out)
     mean_decay = params.kappa + params.gamma
     split_sq = _split_squared(params)
-    e0 = np.exp(-params.gamma * times)
     if split_sq > 0.0:
         split = math.sqrt(split_sq)
-        envelope = np.exp(-0.5 * mean_decay * times)
-        phase = 0.5 * split * times
-        return e0, envelope * np.cos(phase), envelope * np.sin(phase) / split
-    if split_sq == 0.0:
-        envelope = np.exp(-0.5 * mean_decay * times)
-        return e0, envelope, 0.5 * times * envelope
-    # Overdamped: bright rates lambda_+- = (a +- sigma)/2, with
-    # c = (e^{-lambda_- t} + e^{-lambda_+ t})/2 and
-    # s = (e^{-lambda_- t} - e^{-lambda_+ t})/(2 sigma).
-    sigma = math.sqrt(-split_sq)
-    slow = (params.kappa * params.gamma + params.coupling_squared) / (0.5 * (mean_decay + sigma))
-    slow_decay = np.exp(-slow * times)
-    gap = np.expm1(-sigma * times)
-    return e0, slow_decay * (1.0 + 0.5 * gap), -slow_decay * gap / (2.0 * sigma)
+        envelope = np.exp(np.multiply(-0.5 * mean_decay, times, **into_cos), **into_cos)
+        phase = np.multiply(0.5 * split, times, **into_sin)
+        cosine = np.cos(phase, **into_e0)
+        sin_factor = np.sin(phase, **into_sin)
+        sin_factor *= envelope
+        sin_factor /= split
+        envelope *= cosine
+        cos_factor = envelope
+    elif split_sq == 0.0:
+        cos_factor = np.exp(np.multiply(-0.5 * mean_decay, times, **into_cos), **into_cos)
+        sin_factor = np.multiply(0.5, times, **into_sin)
+        sin_factor *= cos_factor
+    else:
+        # Overdamped: bright rates lambda_+- = (a +- sigma)/2, with
+        # c = (e^{-lambda_- t} + e^{-lambda_+ t})/2 and
+        # s = (e^{-lambda_- t} - e^{-lambda_+ t})/(2 sigma).
+        sigma = math.sqrt(-split_sq)
+        slow = (params.kappa * params.gamma + params.coupling_squared) / (0.5 * (mean_decay + sigma))
+        sin_factor = np.expm1(np.multiply(-sigma, times, **into_sin), **into_sin)  # the gap
+        cos_factor = np.exp(np.multiply(-slow, times, **into_cos), **into_cos)  # the slow decay
+        half_gap = np.multiply(0.5, sin_factor, **into_e0)
+        half_gap += 1.0
+        sin_factor *= cos_factor
+        sin_factor /= -2.0 * sigma
+        cos_factor *= half_gap
+    e0 = np.exp(np.multiply(-params.gamma, times, **into_e0), **into_e0)
+    return e0, cos_factor, sin_factor
 
 
 def _projectors(params: Parameters) -> np.ndarray:
@@ -134,31 +160,51 @@ def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> np.n
     bright = np.array([0.0, g_a, g_b])
     plane = np.outer(bright, bright)
     plane[0, 0] = params.coupling_squared  # the cavity mode
-    sine = (kappa + gamma) * plane - 2.0 * _generator_matrix(params) @ plane
+    # Q grows like Omega^3 and overflows long before the squares that
+    # Parameters checks (from g_a of about 4.5e102 at g_b = kappa = 1).
+    with np.errstate(over="ignore", invalid="ignore"):
+        sine = (kappa + gamma) * plane - 2.0 * _generator_matrix(params) @ plane
+    if not np.isfinite(sine).all():
+        raise ValueError(
+            f"rates too large: Q = 2(a/2 - M)P is not finite for g_a={g_a!r}, "
+            f"g_b={g_b!r}, kappa={kappa!r}, gamma={gamma!r}"
+        )
     out = np.stack([np.outer(dark, dark), plane, sine])
     out.setflags(write=False)
     return out
 
 
-def _propagate(params: Parameters, factors, basis: np.ndarray) -> np.ndarray:
+def _propagate(params: Parameters, factors, basis: np.ndarray, out=None) -> np.ndarray:
     """e0 D + c P + s Q from (e0, c, s), component-major: basis.shape[1:] + t.shape.
 
     ``basis`` stacks entries of ``_projectors`` on its first axis (all of it,
     or a column), so each entry comes back as one contiguous array over the
     times.  Elementwise, not a matrix product, so that each time's result
-    does not depend on how many times are evaluated together.
+    does not depend on how many times are evaluated together.  ``out``, when
+    given, is a pair of arrays of the result's shape: the result is
+    accumulated in the first, and the second holds each product before it
+    is added.
     """
     e0, cos_factor, sin_factor = factors
-    total = np.multiply.outer(basis[0], e0)
-    total += np.multiply.outer(basis[1], cos_factor)
-    total += np.multiply.outer(basis[2], sin_factor)
+    into_total, into_term = _NO_OUT[:2] if out is None else ({"out": array} for array in out)
+    total = np.multiply.outer(basis[0], e0, **into_total)
+    total += np.multiply.outer(basis[1], cos_factor, **into_term)
+    total += np.multiply.outer(basis[2], sin_factor, **into_term)
     total /= params.coupling_squared
     return total
 
 
-def _amplitudes(params: Parameters, factors) -> np.ndarray:
-    """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t)."""
-    return _propagate(params, factors, _projectors(params)[:, :, 1])
+def _amplitudes(params: Parameters, factors, out=None) -> np.ndarray:
+    """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t).
+
+    ``out`` is the pair of (3,) + t.shape buffers of ``_propagate``.
+    """
+    return _propagate(params, factors, _projectors(params)[:, :, 1], out)
+
+
+# Rows of a _survival_kernel buffer: the amplitudes, left there for the
+# caller; their products and then squares; the factors and then the rates.
+_KERNEL_ROWS = 9
 
 
 def _survival_kernel(params: Parameters):
@@ -169,13 +215,27 @@ def _survival_kernel(params: Parameters):
     atom-a rate w_a = 2 gamma c_010^2, and the total rate w1 = -dP0/dt =
     w_cav + 2 gamma (c_010^2 + c_001^2), a sum of nonnegative terms, so that
     a root's last evaluation also picks its channel.  Elementwise.
+
+    ``kernel(times, out)`` computes in ``out``, a (_KERNEL_ROWS,) + t.shape
+    array (allocated when not given), and returns views of it; rows 0 to 2
+    then hold the amplitudes (c_100, c_010, c_001).
     """
     kappa2, gamma2 = 2.0 * params.kappa, 2.0 * params.gamma
 
-    def kernel(times: np.ndarray):
-        cavity, atom_a, atom_b = _amplitudes(params, _split_factors(params, times)) ** 2
-        w_cav = kappa2 * cavity
-        return cavity + atom_a + atom_b, w_cav + gamma2 * (atom_a + atom_b), w_cav, gamma2 * atom_a
+    def kernel(times: np.ndarray, out=None):
+        if out is None:
+            out = np.empty((_KERNEL_ROWS,) + times.shape)
+        factors = _split_factors(params, times, out[6:])
+        amplitudes = _amplitudes(params, factors, (out[:3], out[3:6]))
+        cavity, atom_a, atom_b = np.square(amplitudes, out=out[3:6])
+        p0, w_cav, w1 = factors  # spent: the rates take their rows
+        np.add(cavity, atom_a, out=p0)
+        p0 += atom_b
+        np.multiply(kappa2, cavity, out=w_cav)
+        np.add(atom_a, atom_b, out=w1)
+        w1 *= gamma2
+        w1 += w_cav
+        return p0, w1, w_cav, np.multiply(gamma2, atom_a, out=atom_a)
 
     return kernel
 

@@ -39,17 +39,20 @@ def expm_taylor(matrix: np.ndarray, tol: float = 1e-16, max_terms: int = 120) ->
     return result
 
 
-def expm_decimal(matrix, digits: int = 50) -> list[list[decimal.Decimal]]:
-    """exp(matrix) of a real square matrix at ``digits`` significant digits.
+def expm_decimal(matrix, digits: int = 50, time=1) -> list[list[decimal.Decimal]]:
+    """exp(matrix * time) of a real square matrix at ``digits`` significant digits.
 
-    The float entries are converted exactly, scaled by a power of two until
-    the infinity norm is at most 1/2, summed as a Taylor series until a term
-    falls below 10^-(digits+5) of the sum, and squared back up.  Every step
-    runs in ``decimal`` arithmetic, so the result has no float round-off.
+    The float entries are converted exactly and multiplied by ``time`` (a
+    number or a ``Decimal``, also converted exactly), scaled by a power of
+    two until the infinity norm is at most 1/2, summed as a Taylor series
+    until a term falls below 10^-(digits+5) of the sum, and squared back up.
+    Every step runs in ``decimal`` arithmetic, so the result has no float
+    round-off.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = digits + 10
-        a = [[decimal.Decimal(float(x)) for x in row] for row in np.asarray(matrix, dtype=float)]
+        scale = decimal.Decimal(time)
+        a = [[decimal.Decimal(float(x)) * scale for x in row] for row in np.asarray(matrix, dtype=float)]
         dim = len(a)
         norm = max(sum(abs(x) for x in row) for row in a)
         squarings = 0
@@ -117,3 +120,24 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
 def central_difference(f, x: float, h: float) -> float:
     """Symmetric difference quotient (f(x+h) - f(x-h)) / (2h)."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def inverse_log_survival_derivatives(matrix, t: float, h: float, digits: int = 50) -> tuple[float, float]:
+    """dt/dy and d2t/dy2 of the inverse of y(t) = log P0(t), P0 = |exp(-M t) e_1|^2.
+
+    y is evaluated at t - h, t and t + h in ``digits``-digit decimal
+    arithmetic (``expm_decimal``, the times exact), and its derivatives come
+    from central differences, y' = (y(t+h) - y(t-h))/(2h) and
+    y'' = (y(t+h) - 2 y(t) + y(t-h))/h^2, with errors of order h^2 and no
+    float round-off.  Returns (1/y', -y''/y'^3).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        t_dec, h_dec = decimal.Decimal(float(t)), decimal.Decimal(float(h))
+        logs = []
+        for time in (t_dec - h_dec, t_dec, t_dec + h_dec):
+            column = [row[1] for row in expm_decimal(-np.asarray(matrix, dtype=float), digits, time)]
+            logs.append(sum(x * x for x in column).ln())
+        slope = (logs[2] - logs[0]) / (2 * h_dec)
+        curve = (logs[2] - 2 * logs[1] + logs[0]) / (h_dec * h_dec)
+        return float(1 / slope), float(-curve / slope**3)

@@ -309,6 +309,25 @@ class TestErrorHandling:
         assert out == ""
         assert err == f"error: rates too large: {name} is not a finite float\n"
 
+    @pytest.mark.parametrize("command", ["amplitudes", "probabilities", "trajectories"])
+    def test_overflowing_projector_exits_2(self, capsys, command):
+        # Once this wrote nan/inf populations with exit 0 (amplitudes), or
+        # warned and then blamed P0 (probabilities).
+        code, out, err = _run(capsys, [command, "--ga", "5e102"])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: rates too large: Q = 2(a/2 - M)P is not finite "
+            "for g_a=5e+102, g_b=1.0, kappa=1.0, gamma=0.001\n"
+        )
+
+    @pytest.mark.parametrize("command", ["amplitudes", "probabilities"])
+    def test_coupling_below_projector_overflow_works(self, capsys, command):
+        code, out, err = _run(capsys, [command, "--ga", "2e102"])
+        assert code == 0
+        assert err == ""
+        assert np.isfinite(np.array(_cells(out), dtype=float)).all()
+
     def test_unknown_option_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["probabilities", "--bogus"])

@@ -590,6 +590,24 @@ class TestProjectorCache:
         one = run_ensemble(fig_params, 40_000, grid, seed=7, workers=1)
         assert np.array_equal(pooled.counts, one.counts)
 
+    def test_overflowing_projector_rejected(self, fig_params):
+        # Q = 2(a/2 - M)P grows like Omega^3, so couplings from about 4.5e102
+        # pass Parameters but overflowed here: conditional_state returned
+        # -inf, the budget failed on NaN, and run_ensemble blamed the horizon.
+        params = Parameters(g_a=1e120, g_b=1.0, kappa=1.0, gamma=1e-3)
+        message = r"rates too large: Q = 2\(a/2 - M\)P is not finite for g_a=1e\+120, g_b=1.0, kappa=1.0, gamma=0.001"
+        for call in (
+            lambda: conditional_state(params, 1e-125),
+            lambda: emission_probabilities(params, 1e-125),
+            lambda: Propagator.from_parameters(params),
+            lambda: run_ensemble(params, 10, [1.0], 3),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        below = Parameters(g_a=2e102, g_b=1.0, kappa=1.0, gamma=1e-3)
+        assert np.isfinite(propagator._projectors(below)).all()
+        assert np.isfinite(conditional_state(below, np.array([0.0, 1e-104, 0.03]))).all()
+
     def test_zero_couplings_raise_every_call(self):
         params = Parameters(g_a=0.0, g_b=0.0, kappa=1.0, gamma=1e-3)
         for _ in range(3):
