@@ -14,7 +14,8 @@ Each subcommand is a function ``cmd_*`` from the parsed arguments to a table,
 I/O.  ``main`` writes the table, then the note, and maps errors to exit
 codes.  All tables are CSV with a header row, 12-significant-digit values,
 and LF line endings; ``--out -`` (the default) writes to stdout.  Runs are
-fully deterministic for a fixed seed, independent of the worker count.
+fully deterministic for a fixed seed, whatever worker count ``run_ensemble``
+picks for ``trajectories``.
 """
 
 from __future__ import annotations
@@ -110,6 +111,18 @@ def cmd_entropy(args):
     return ["t", "E"], [grid, entropy]
 
 
+def _likelihood_ratio_z(hat: np.ndarray, ref: np.ndarray, n: int) -> np.ndarray:
+    """|z| of frequencies ``hat`` of n trials against ``ref``: sqrt(2 n KL(hat || ref)).
+
+    The Wald z where n ref (1 - ref) is large, moderate on one rare event, and
+    inf off an exact ref of 0 or 1 (with 0 log 0 = 0).
+    """
+    share = np.stack([hat, 1.0 - hat])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(share > 0.0, share * np.log(share / np.stack([ref, 1.0 - ref])), 0.0)
+    return np.sqrt(np.maximum(2.0 * n * terms.sum(axis=0), 0.0))
+
+
 def cmd_trajectories(args):
     if args.trajectories < 1:
         raise ValueError("need at least 1 trajectory")
@@ -121,13 +134,8 @@ def cmd_trajectories(args):
         grid, estimate.p0_hat, estimate.p_cav_hat, estimate.p_spon_hat,
         estimate.p0_stderr, estimate.p_cav_stderr, estimate.p_spon_stderr,
     ]
-    # The standard error comes from the closed form: the estimate's own
-    # sqrt(p_hat (1 - p_hat) / n) vanishes when p_hat is 0 or 1.
     ref = np.stack([exact.p0, exact.p_cav, exact.p_spon])
-    err = np.sqrt(ref * (1.0 - ref) / args.trajectories)
-    diff = np.abs(np.stack(columns[1:4]) - ref)
-    z = np.where(diff < 1e-12, 0.0, np.inf)
-    np.divide(diff, err, out=z, where=err > 0.0)
+    z = _likelihood_ratio_z(np.stack(columns[1:4]), ref, args.trajectories)
     header = ["t", "p0_hat", "pcav_hat", "pspon_hat", "p0_stderr", "pcav_stderr", "pspon_stderr"]
     note = (
         f"trajectories: n={args.trajectories} seed={args.seed} "

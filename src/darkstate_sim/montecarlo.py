@@ -23,8 +23,8 @@ amplitudes at the table times.  Each Newton step evaluates only the roots
 still active: on the paper's set a 16 384-trajectory chunk takes two steps
 over about 19 000 points in all, 1.15 per jump, and no other evaluation.
 
-A batch computes in buffers of its thread (``_Workspace``) that live from
-call to call, so a run of chunks neither grows nor trims the heap.
+A batch computes in buffers of its thread (``_Workspace``), which a serial
+run of chunks reuses from call to call, so it neither grows nor trims the heap.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
@@ -82,6 +82,10 @@ _BRACKET_ULPS = 4
 _MAX_STEPS = 200
 _DRAWS_PER_TRAJECTORY = 4  # one Philox block
 _CHUNK = 16384
+# A pool's threads live for one call and fault their buffers (_Workspace) in:
+# on 2 CPUs two workers lose at 2 to 4 chunks (0.71-0.82x) and win from 6 (1.3x,
+# 1.7x at 61), so the automatic worker count gives each this many chunks or more.
+_CHUNKS_PER_WORKER = 3
 
 _CODE_CAVITY, _CODE_SPON_A, _CODE_SPON_B, _CODE_NONE = 0, 1, 2, -1
 
@@ -245,11 +249,12 @@ class _Workspace(threading.local):
 
     Every intermediate array of a chunk is written into them (``out=``), each
     viewed as a contiguous (rows, n) prefix (``_rows``) for the n roots at
-    hand.  They live from chunk to chunk and from call to call, so a run of
-    chunks allocates little beyond its results.  Fresh arrays would grow the
-    heap by about 2 MiB per chunk, the allocator would trim it back when the
-    call ends, and the next call would fault the same pages in again.  The
-    buffers grow to the widest chunk seen on the thread.
+    hand.  They live as long as their thread, so chunks on the calling thread
+    allocate little beyond their results, while a thread of ``run_ensemble``'s
+    pool faults them in for its one call.  Fresh arrays would grow the heap by
+    about 2 MiB per chunk, the allocator would trim it back when the call
+    ends, and the next call would fault the same pages in again.  The buffers
+    grow to the widest chunk seen on the thread.
     """
 
     width = 0
@@ -494,27 +499,14 @@ def simulate_trajectories(
     return times, codes, detected
 
 
-def _worker_count(requested: int | None) -> int:
-    cap_env = os.environ.get("DARKSTATE_THREADS")
-    cap = None
-    if cap_env is not None:
-        try:
-            cap = int(cap_env)
-        except ValueError as exc:
-            raise ValueError(f"DARKSTATE_THREADS must be an integer, got {cap_env!r}") from exc
-        if cap < 1:
-            raise ValueError(f"DARKSTATE_THREADS must be at least 1, got {cap_env!r}")
-    if requested is None:
-        requested = cap if cap is not None else 1
-    elif requested < 1:
-        raise ValueError(f"workers must be at least 1, got {requested!r}")
-    if cap is not None:
-        requested = min(requested, cap)
-    return int(requested)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (``taskset``), else all."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _tally_chunk(params, seed, start, count, horizon, grid):
-    times, codes, _ = simulate_trajectories(params, seed, start, count, horizon)
+def _tally_chunk(params, seed, horizon, grid, job):
+    times, codes, _ = simulate_trajectories(params, seed, *job, horizon)
     cavity_times = np.sort(times[codes == _CODE_CAVITY])
     spon_times = np.sort(times[(codes == _CODE_SPON_A) | (codes == _CODE_SPON_B)])
     n_cav = np.searchsorted(cavity_times, grid, side="right").astype(np.int64)
@@ -531,11 +523,11 @@ def run_ensemble(
 ) -> EnsembleEstimate:
     """Frequency estimates of (P0, P_cav, P_spon) from n trajectories.
 
-    Trajectories are simulated in fixed-size chunks whose per-index
+    Trajectories are simulated in chunks of _CHUNK whose per-index
     randomness never depends on the partitioning, so the estimate is
-    bit-identical for any worker count.  ``workers`` defaults to the
-    DARKSTATE_THREADS environment variable (which also caps an explicit
-    request), else 1; a count below 1 from either raises ValueError.
+    bit-identical for any worker count.  ``workers=None`` runs one worker per
+    _CHUNKS_PER_WORKER chunks, at most one per usable CPU, and below two runs
+    on the calling thread; a given count must be an integer of at least 1.
     """
     n = operator.index(n)
     if n < 1:
@@ -551,21 +543,19 @@ def run_ensemble(
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("t_grid must be sorted in ascending order")
 
-    horizon = max(default_horizon(params), float(grid[-1]))
-    starts = list(range(0, n, _CHUNK))
-    jobs = [(start, min(_CHUNK, n - start)) for start in starts]
+    jobs = [(start, min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)]
+    if workers is None:
+        workers = min(_usable_cpus(), len(jobs) // _CHUNKS_PER_WORKER)
+    elif (workers := operator.index(workers)) < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
 
-    worker_count = _worker_count(workers)
-    if worker_count > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _tally_chunk(params, seed, job[0], job[1], horizon, grid),
-                    jobs,
-                )
-            )
+    horizon = max(default_horizon(params), float(grid[-1]))
+    tally = functools.partial(_tally_chunk, params, seed, horizon, grid)
+    if workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(tally, jobs))
     else:
-        results = [_tally_chunk(params, seed, s, c, horizon, grid) for s, c in jobs]
+        results = list(map(tally, jobs))
 
     counts = np.zeros((3, grid.size), dtype=np.int64)
     for cav, spon in results:

@@ -61,10 +61,10 @@ _PROB_TOL = 1e-10
 
 def _check_times(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    # The .all() methods skip the dispatch of np.all: this runs on every call.
-    if not (arr >= 0.0).all():  # also rejects NaN
-        raise NegativeTimeError("conditional evolution requires t >= 0")
-    if not (arr < np.inf).all():
+    # One reduction on valid times; .all() skips np.all's dispatch (every call).
+    if not ((arr >= 0.0) & (arr < np.inf)).all():
+        if not (arr >= 0.0).all():  # also rejects NaN
+            raise NegativeTimeError("conditional evolution requires t >= 0")
         raise ValueError("conditional evolution requires a finite t")
     return arr
 

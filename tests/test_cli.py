@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from darkstate_sim import (
     mixture_asymptotic,
     relative_entropy_of_entanglement,
 )
-from darkstate_sim import cli
+from darkstate_sim import cli, montecarlo
 from darkstate_sim.cli import build_parser, main
 
 SATURATION = 0.4992508740634678
@@ -221,24 +222,61 @@ class TestTrajectoriesCommand:
         assert "max |z|" in err and "n=2000" in err
         assert np.max(np.abs(rows[:, 1:4].sum(axis=1) - 1.0)) < 1e-12
 
+    @staticmethod
+    def _likelihood_ratio_z(hat, ref, n):
+        """sqrt(2 n KL(hat || ref)) of one cell, term by term, with 0 log 0 = 0."""
+        kl = 0.0
+        for a, b in zip((hat, 1.0 - hat), (ref, 1.0 - ref)):
+            if a > 0.0:
+                kl += a * math.log(a / b) if b > 0.0 else math.inf
+        return math.sqrt(2.0 * n * max(kl, 0.0))
+
+    def _printed_against_closed_form(self, capsys, flags, params, n):
+        code, out, err = _run(capsys, ["trajectories", "--trajectories", str(n), *flags])
+        assert code == 0
+        _, rows = _parse_csv(out)
+        exact = emission_probabilities(params, rows[:, 0])
+        ref = np.stack([exact.p0, exact.p_cav, exact.p_spon], axis=1)
+        expected = max(
+            self._likelihood_ratio_z(hat, p, n) for hat, p in zip(rows[:, 1:4].ravel(), ref.ravel())
+        )
+        return float(err.rsplit("=", 1)[1]), expected, rows
+
     def test_z_score_uses_closed_form_error(self, capsys):
         # With g_b = 0 nothing is trapped, so p0_hat reaches 0 while P0 > 0:
         # an error taken from p_hat would be 0 there and the z-score infinite.
-        n = 20000
-        code, out, err = _run(
-            capsys, ["trajectories", "--gb", "0", "--trajectories", str(n)]
+        printed, expected, rows = self._printed_against_closed_form(
+            capsys, ["--gb", "0"], Parameters(1.0, 0.0, 1.0, 1e-3), 20000
         )
-        assert code == 0
-        _, rows = _parse_csv(out)
         assert rows[-1, 1] == 0.0
-        exact = emission_probabilities(Parameters(1.0, 0.0, 1.0, 1e-3), rows[:, 0])
-        ref = np.stack([exact.p0, exact.p_cav, exact.p_spon], axis=1)
-        spread = ref * (1.0 - ref) > 0.0
-        z = np.abs(rows[:, 1:4] - ref)[spread] / np.sqrt(ref * (1.0 - ref) / n)[spread]
-        expected = float(np.max(z))
-        printed = float(err.rsplit("=", 1)[1])
         assert math.isfinite(printed)
         assert printed == pytest.approx(expected, abs=2e-3)
+
+    def test_z_score_of_a_rare_survivor(self, capsys):
+        # One survivor at t = 15, where P0 = 1.27e-6 expects 0.0025 of them:
+        # the Wald z read 19.8 there.
+        printed, expected, rows = self._printed_against_closed_form(
+            capsys, ["--ga", "1e3"], Parameters(1e3, 1.0, 1.0, 1e-3), 2000
+        )
+        assert rows[-1, 1] == 1 / 2000
+        assert printed == pytest.approx(expected, abs=2e-3)
+        assert 3.0 < printed < 5.0
+
+    def test_z_score_is_wald_at_large_counts(self):
+        ref = np.array([0.3, 0.5, 0.02])
+        n = 10**6
+        wald = np.array([2.0, -1.0, 3.0])
+        hat = ref + wald * np.sqrt(ref * (1.0 - ref) / n)
+        z = cli._likelihood_ratio_z(hat, ref, n)
+        assert np.allclose(z, np.abs(wald), rtol=0.01)
+        assert z == pytest.approx([self._likelihood_ratio_z(h, p, n) for h, p in zip(hat, ref)], rel=1e-9)
+
+    def test_z_score_at_exact_zero_or_one(self):
+        # A frequency off an exact probability of 0 or 1 is impossible under
+        # the closed form; one on it carries no evidence either way.
+        hat = np.array([1e-4, 1.0 - 1e-4, 0.0, 1.0])
+        ref = np.array([0.0, 1.0, 0.0, 1.0])
+        assert cli._likelihood_ratio_z(hat, ref, 10_000).tolist() == [math.inf, math.inf, 0.0, 0.0]
 
     def test_single_trajectory_one_hot(self, capsys):
         code, out, _ = _run(
@@ -252,19 +290,25 @@ class TestTrajectoriesCommand:
         assert np.all(rows[:, 4:] == 0.0)
 
     def test_byte_identical_across_thread_counts(self, capsys, tmp_path, monkeypatch):
-        outputs = []
-        for thread_count in ("1", "8"):
-            monkeypatch.setenv("DARKSTATE_THREADS", thread_count)
-            path = tmp_path / f"threads_{thread_count}.csv"
+        # 13 chunks: serial on one usable CPU, a pool of 4 on eight.
+        outputs, pools = [], []
+        monkeypatch.setattr(
+            montecarlo, "ThreadPoolExecutor",
+            lambda max_workers: pools.append(max_workers) or ThreadPoolExecutor(max_workers),
+        )
+        for cpus in (1, 8):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+            path = tmp_path / f"cpus_{cpus}.csv"
             code, _, _ = _run(
                 capsys,
                 [
-                    "trajectories", "--trajectories", "20000", "--steps", "5",
+                    "trajectories", "--trajectories", "200000", "--steps", "5",
                     "--tmax", "30", "--seed", "11", "--out", str(path),
                 ],
             )
             assert code == 0
             outputs.append(path.read_bytes())
+        assert pools == [4]
         assert outputs[0] == outputs[1]
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -592,25 +593,60 @@ class TestEnsemble:
         assert np.array_equal(serial.p_cav_hat, threaded.p_cav_hat)
         assert np.array_equal(serial.p_spon_hat, threaded.p_spon_hat)
 
-    def test_thread_environment_cap(self, fig_params, monkeypatch):
-        grid = np.linspace(0.0, 10.0, 5)
-        baseline = run_ensemble(fig_params, 20_000, grid, seed=1, workers=1)
-        monkeypatch.setenv("DARKSTATE_THREADS", "8")
-        from_env = run_ensemble(fig_params, 20_000, grid, seed=1)
-        assert np.array_equal(baseline.p0_hat, from_env.p0_hat)
-        monkeypatch.setenv("DARKSTATE_THREADS", "not-a-number")
-        with pytest.raises(ValueError):
-            run_ensemble(fig_params, 100, grid, seed=1)
-
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_below_one_rejected(self, fig_params, monkeypatch, workers):
+    def test_worker_count_below_one_rejected(self, fig_params, workers):
         grid = np.linspace(0.0, 10.0, 5)
-        monkeypatch.delenv("DARKSTATE_THREADS", raising=False)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_ensemble(fig_params, 100, grid, seed=1, workers=workers)
-        monkeypatch.setenv("DARKSTATE_THREADS", str(workers))
-        with pytest.raises(ValueError, match="DARKSTATE_THREADS must be at least 1"):
-            run_ensemble(fig_params, 100, grid, seed=1)
+
+    @pytest.mark.parametrize("workers", [2.5, np.float64(2.0), "2"])
+    def test_non_integral_worker_count_rejected(self, fig_params, workers):
+        # int() once truncated it: workers = 2.5 ran 2 workers.
+        with pytest.raises(TypeError):
+            run_ensemble(fig_params, 100, [1.0], seed=1, workers=workers)
+
+    @staticmethod
+    def _pool_sizes(monkeypatch, cpus):
+        """Fix the usable CPUs and record the size of every pool run_ensemble builds."""
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "cpus, chunks, pool",
+        [(8, 1, None), (8, 5, None), (8, 6, 2), (8, 12, 4), (8, 61, 8), (2, 61, 2), (1, 61, None)],
+    )
+    def test_automatic_worker_count(self, monkeypatch, fig_params, cpus, chunks, pool):
+        # One worker per _CHUNKS_PER_WORKER chunks, at most one per usable
+        # CPU; below two workers no pool is built.  The chunks' tallies are
+        # faked: only the pool's size is under test.
+        sizes = self._pool_sizes(monkeypatch, cpus)
+        monkeypatch.setattr(montecarlo, "_tally_chunk", lambda *args: (np.zeros(1, np.int64),) * 2)
+        est = run_ensemble(fig_params, chunks * CHUNK, [1.0], seed=1)
+        assert est.counts[0, 0] == chunks * CHUNK
+        assert sizes == ([] if pool is None else [pool])
+        assert montecarlo._CHUNKS_PER_WORKER == 3
+
+    @pytest.mark.parametrize("n", [CHUNK, 2 * CHUNK, 5 * CHUNK, 6 * CHUNK, 61 * CHUNK, 6 * CHUNK + 1234])
+    def test_automatic_count_matches_one_worker(self, monkeypatch, fig_params, n):
+        sizes = self._pool_sizes(monkeypatch, 4)
+        grid = np.linspace(0.0, 30.0, 7)
+        automatic = run_ensemble(fig_params, n, grid, seed=7)
+        assert sizes == ([min(4, -(-n // CHUNK) // 3)] if n >= 6 * CHUNK else [])
+        serial = run_ensemble(fig_params, n, grid, seed=7, workers=1)
+        assert np.array_equal(automatic.counts, serial.counts)
+
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert montecarlo._usable_cpus() == len(os.sched_getaffinity(0))
+        assert montecarlo._usable_cpus() >= 1
 
     def test_stderr_formula(self, fig_params):
         grid = np.array([5.0])
