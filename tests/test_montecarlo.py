@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,19 +40,33 @@ CHI2_2DF_1PC = 9.21034
 
 CHUNK = 16_384
 
+# Integer run_ensemble counts, as committed in data/golden (see TestGoldenCounts).
+GOLDEN_COUNTS = Path(__file__).parent / "data" / "golden" / "ensemble_counts.csv"
+GOLDEN_COUNT_SEEDS = (11, 12)
+GOLDEN_COUNT_SIZE = 2 * CHUNK + 7232  # two full chunks and a partial one
+GOLDEN_COUNT_HEADER = "regime,seed,t,no_jump,cavity,spontaneous"
+
 
 def _table(params, horizon):
     """The kernel and the (cached) start table of ``simulate_trajectories``."""
     return montecarlo._survival_kernel(params), montecarlo._start_table(params, horizon)
 
 
-def _roots(params, u):
-    """Jump times for the uniforms ``u``, by the batch root finder alone."""
+def _inversion(params, u, wrap=lambda kernel: kernel):
+    """Jump times and rates (w1, w_cav, w_a) for the uniforms ``u``, by the batch root finder alone.
+
+    ``wrap`` may replace the closed-form kernel with one built on it.
+    """
     kernel, table = _table(params, default_horizon(params))
     u = np.asarray(u, dtype=float)
     work = montecarlo._Workspace().reserve(u.size)
     bracket = montecarlo._bracket_from_table(table, u, work)
-    return montecarlo._invert_survival(kernel, *bracket, work)[0]
+    return montecarlo._invert_survival(wrap(kernel), *bracket, work)
+
+
+def _roots(params, u):
+    """Jump times for the uniforms ``u``, by the batch root finder alone."""
+    return _inversion(params, u)[0]
 
 
 def _waiting_draws(seed, count):
@@ -397,6 +412,43 @@ class TestInversion:
             assert abs(emission_probabilities(params, single[0]).p0 - u[i]) <= 1e-13 * u[i]
 
 
+class TestStopRules:
+    """Roots that cannot meet the residual tolerance stop on the other two rules.
+
+    The real kernel is wrapped to round P0 to a relative grid of 2^-40, so
+    that |log P0 - log u| stays near 1e-12 for almost every root and the
+    inversion must end it on the bracket width or on a step that leaves t
+    unchanged, after the stop test and the gather have run.
+    """
+
+    @staticmethod
+    def _quantized(kernel):
+        def rounded(t, out=None):
+            p0, *rates = kernel(t, out)
+            mantissa, exponent = np.frexp(p0)
+            np.ldexp(np.round(np.ldexp(mantissa, 40)), exponent - 40, out=p0)
+            return (p0, *rates)
+
+        return rounded
+
+    @pytest.mark.parametrize("name", ["paper", "staircase"])
+    def test_roots_stop_on_bracket_or_unchanged_time(self, name):
+        params = INVERSION_REGIMES[name]
+        kernel, table = _table(params, default_horizon(params))
+        u = _waiting_draws(6, 3000)
+        u = u[u > table.p0_end]
+        roots = _inversion(params, u, self._quantized)
+        times = roots[0]
+        assert np.all((times >= 0.0) & (times <= table.times[-1]))
+        p0, *rates = self._quantized(kernel)(times)
+        for returned, evaluated in zip(roots[1:], rates):
+            assert np.array_equal(returned, evaluated)
+        missed = np.abs(np.log(p0) - np.log(u)) > montecarlo._RESIDUAL_TOL
+        assert np.count_nonzero(missed) > 0.9 * u.size
+        for i in range(0, u.size, 23):
+            assert np.array_equal(_inversion(params, u[i : i + 1], self._quantized), roots[:, i : i + 1])
+
+
 class TestStartTableCache:
     """``_start_table`` builds each (rates, horizon) table once and shares it."""
 
@@ -505,6 +557,54 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 2**20
+
+    def test_many_step_chunk_allocates_little(self, monkeypatch):
+        # A warm staircase chunk takes about 20 Newton steps over ~4200
+        # jumps.  Each step may allocate the indices of the roots it keeps,
+        # but gathers them into the kept buffers: fresh arrays for the
+        # gathered rows raise the steps' sum from 0.34 to 1.8 MiB (1.0 MiB
+        # for the state rows alone), while the chunk's peak, 0.43 MiB, rises
+        # only to 1.1 MiB, since each is freed a step later.  A step's
+        # allocation is the traced peak above the memory at its start; the
+        # first mark ends the work before the first step.
+        params = INVERSION_REGIMES["staircase"]
+        steps, start, peaks = [], [0], []
+        kernel_factory, invert = montecarlo._survival_kernel, montecarlo._invert_survival
+
+        def mark():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            steps.append(peaks[-1] - start[0])
+            tracemalloc.reset_peak()
+            start[0] = tracemalloc.get_traced_memory()[0]
+
+        def marking_factory(p):
+            kernel = kernel_factory(p)
+
+            def marking(t, out=None):
+                mark()
+                return kernel(t, out)
+
+            return marking
+
+        def marking_invert(*args):
+            roots = invert(*args)
+            mark()
+            return roots
+
+        monkeypatch.setattr(montecarlo, "_survival_kernel", marking_factory)
+        monkeypatch.setattr(montecarlo, "_invert_survival", marking_invert)
+        simulate_trajectories(params, 7, 0, CHUNK)
+        steps.clear()
+        tracemalloc.start()
+        try:
+            start[0] = base = tracemalloc.get_traced_memory()[0]
+            simulate_trajectories(params, 8, 0, CHUNK)
+            peak = max(*peaks, tracemalloc.get_traced_memory()[1]) - base
+        finally:
+            tracemalloc.stop()
+        assert len(steps) >= 15
+        assert peak <= 1.5 * 2**20
+        assert sum(steps[1:]) <= 0.75 * 2**20
 
     def test_kept_buffers_bounded_by_chunk(self, fig_params):
         # A wider batch must not leave its buffers to the thread for good.
@@ -691,3 +791,50 @@ class TestEnsemble:
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)
         est = run_ensemble(p, 2_000, np.array([10.0, 200.0]), seed=4)
         assert est.p0_hat[-1] == pytest.approx(0.5, abs=0.05)
+
+
+def _golden_count_grid(params):
+    """0 and 64 log-spaced times from the cavity transient up to the default horizon.
+
+    Every jump lies at or before the horizon, so the last time counts them all.
+    """
+    horizon = default_horizon(params)
+    grid = np.concatenate(([0.0], np.geomspace(1e-3 / (params.kappa + params.gamma), horizon, 64)))
+    grid[-1] = horizon
+    return grid
+
+
+def _golden_count_lines():
+    """The lines of data/golden/ensemble_counts.csv, computed by the installed package.
+
+    Rewrite the file with ``PYTHONPATH=src:tests python -c "import
+    test_montecarlo as m; m._write_golden_counts()"``.
+    """
+    yield GOLDEN_COUNT_HEADER
+    for name in sorted(INVERSION_REGIMES):
+        params = INVERSION_REGIMES[name]
+        grid = _golden_count_grid(params)
+        for seed in GOLDEN_COUNT_SEEDS:
+            counts = run_ensemble(params, GOLDEN_COUNT_SIZE, grid, seed, workers=1).counts
+            for t, column in zip(grid, counts.T):
+                yield ",".join([name, str(seed), repr(float(t)), *map(str, column)])
+
+
+def _write_golden_counts():
+    GOLDEN_COUNTS.write_text("".join(line + "\n" for line in _golden_count_lines()))
+
+
+class TestGoldenCounts:
+    """run_ensemble counts, exactly as committed in data/golden/ensemble_counts.csv.
+
+    Eight regimes, two seeds, 40 000 trajectories each (two full chunks and
+    a partial one) on ``_golden_count_grid``.  A change to the inversion or
+    the tally that moves any jump across a grid time, or into another
+    channel, changes a count here.
+    """
+
+    def test_matches_committed_counts(self):
+        committed = GOLDEN_COUNTS.read_text().splitlines()
+        assert committed[0] == GOLDEN_COUNT_HEADER
+        assert len(committed) == 1 + len(INVERSION_REGIMES) * len(GOLDEN_COUNT_SEEDS) * 65
+        assert list(_golden_count_lines()) == committed
