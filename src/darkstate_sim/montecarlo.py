@@ -27,8 +27,9 @@ evaluation and gathers the rest before it forms anything else, so the
 Newton step, the bracket and the other stop tests are formed only for the
 roots that miss it (about 2 450 of 16 384 after the first evaluation).
 
-A batch computes in buffers of its thread (``_Workspace``), which a serial
-run of chunks reuses from call to call, so it neither grows nor trims the heap.
+A chunk of up to _CHUNK trajectories computes in buffers its thread allocates
+once (``_Workspace``), so a serial run neither grows nor trims the heap; a
+wider batch runs chunk by chunk, in about its results' memory plus a chunk's.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
@@ -186,7 +187,8 @@ def _start_table(params: Parameters, horizon: float) -> _StartTable:
 # rate set and horizon a CLI run or a benchmark round cycles through.
 @functools.lru_cache(maxsize=128)
 def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: float) -> _StartTable:
-    first = min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma))
+    # A horizon below about 5e-315 underflows the first time to 0, which geomspace rejects.
+    first = max(min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma)), math.ulp(0.0))
     times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
     times[-1] = horizon
     p0, tangent, curvature = _inverse_derivatives(Parameters(g_a, g_b, kappa, gamma), times)
@@ -250,41 +252,35 @@ def _inverse_quintic(times, height, tangent, curvature, out) -> None:
     out[:, 5] = 6.0 * span - 3.0 * (v0 + v1) - 0.5 * (c0 - c1)
 
 
-class _Workspace(threading.local):
-    """Scratch buffers of ``simulate_trajectories``, one set per thread.
-
-    Every intermediate array of a chunk is written into them (``out=``), each
-    viewed as a contiguous (rows, n) prefix (``_rows``) for the n roots at
-    hand.  They live as long as their thread, so chunks on the calling thread
-    allocate little beyond their results, while a thread of ``run_ensemble``'s
-    pool faults them in for its one call.  Fresh arrays would grow the heap by
-    about 2 MiB per chunk, the allocator would trim it back when the call
-    ends, and the next call would fault the same pages in again.  The buffers
-    grow to the widest chunk seen on the thread.
-    """
-
-    width = 0
-
-    def reserve(self, width: int) -> "_Workspace":
-        if width > self.width:
-            self.draws = np.empty(_DRAWS_PER_TRAJECTORY * width)
-            self.states = np.empty((2, _STATE_ROWS * width))  # current and next Newton state
-            self.kernel = np.empty(_KERNEL_ROWS * width)  # also the bracket's interval rows
-            self.scratch = np.empty(_SCRATCH_ROWS * width)
-            self.roots = np.empty(4 * width)
-            self.flags = np.empty(3 * width, dtype=bool)
-            self.index = np.empty((2, width), dtype=np.intp)
-            self.width = width
-        return self
-
-
-_WORKSPACE = _Workspace()
-
 # Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the
 # step before last, which trade rows each step.
 _LO, _HI, _STEP, _STEP_OLD = 1, 2, 4, 5
 _STATE_ROWS = 6
 _SCRATCH_ROWS = 6
+
+
+class _Workspace(threading.local):
+    """Scratch buffers of a chunk of up to _CHUNK trajectories, one set per thread.
+
+    Every intermediate array of a chunk is written into them (``out=``), each
+    viewed as a contiguous (rows, n) prefix (``_rows``).  A thread allocates
+    them once (about 5 MiB) and keeps them, so its chunks allocate little
+    beyond their results, while a thread of ``run_ensemble``'s pool faults
+    them in for its one call.  Fresh arrays would grow and trim the heap by
+    about 2 MiB per chunk, faulting the same pages in on every call.
+    """
+
+    def __init__(self):
+        self.draws = np.empty(_DRAWS_PER_TRAJECTORY * _CHUNK)
+        self.states = np.empty((2, _STATE_ROWS * _CHUNK))  # current and next Newton state
+        self.kernel = np.empty(_KERNEL_ROWS * _CHUNK)  # also the bracket's interval rows
+        self.scratch = np.empty(_SCRATCH_ROWS * _CHUNK)
+        self.roots = np.empty(4 * _CHUNK)
+        self.flags = np.empty(3 * _CHUNK, dtype=bool)
+        self.index = np.empty((2, _CHUNK), dtype=np.intp)
+
+
+_WORKSPACE = _Workspace()
 
 
 def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -349,16 +345,16 @@ def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
     _RESIDUAL_TOL).
 
     Only the elements still active are evaluated, and a step is formed only
-    for those that miss the tolerance.  Each step runs in this order: the
-    kernel at t, whose time and rates are written back (so an element that
-    stops leaves its last evaluation); the residual stop test; a gather of
-    the elements that go on, their state with the residual, P0 and w1, into
-    the first columns of the other state buffer of ``work``; and then, on
-    those alone, the Newton step or bisection, the bracket update and the
-    bracket-width and unchanged-t stop tests, after which the few elements
-    these stop are gathered out again.  The kernel is elementwise, so a
-    result never depends on the rest of the batch.  Elements with u = 1 stop
-    at their start t = 0, at residual 0.
+    for those that miss the tolerance; both step rows start as hi - lo,
+    formed for every element before the loop.  Each step runs in this order:
+    the kernel at t, whose time and rates are written back (so an element
+    that stops leaves its last evaluation); the residual stop test; a gather
+    (``_compact``) of the elements that go on, their state with the residual,
+    P0 and w1, into the other buffers of ``work``; and then, on those alone,
+    the Newton step or bisection, the bracket update and the bracket-width
+    and unchanged-t stop tests, after which the elements these stop are
+    gathered out again.  The kernel is elementwise, so a result never depends
+    on the rest of the batch.  Elements with u = 1 stop at t = 0.
 
     Returns the (4, n) rows of the times and the rates (w1, w_cav, w_a) at
     them, in ``work``; raises SimulationError if some root still moves after
@@ -368,10 +364,12 @@ def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
     state = _rows(work.states[0], _STATE_ROWS, n)
     for row, value in zip(state, (log_u, lo, hi, t)):
         np.copyto(row, value)  # nothing to copy where the bracket wrote them
+    np.subtract(state[_HI], state[_LO], out=state[_STEP])
+    np.copyto(state[_STEP_OLD], state[_STEP])
     roots = _rows(work.roots, 4, n)
     index = slice(None)  # on the first step every element is active, in order
     side, old_row = 0, _STEP_OLD
-    for number in range(_MAX_STEPS):
+    for _ in range(_MAX_STEPS):
         p0, w1, w_cav, w_a = kernel(state[3], _rows(work.kernel, _KERNEL_ROWS, n))
         for row, value in zip(roots, (state[3], w1, w_cav, w_a)):
             row[index] = value
@@ -379,23 +377,15 @@ def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
             residual = np.log(p0, out=w_cav)  # w_cav and w_a are written back
             residual -= state[0]
         keep = np.flatnonzero(np.greater(np.abs(residual, out=w_a), _RESIDUAL_TOL, out=work.flags[:n]))
-        n = keep.size
-        if n == 0:
+        if not (n := keep.size):
             return roots
         side = 1 - side
-        gathered = _STATE_ROWS if number else 4  # the step rows are formed below
-        following = _rows(work.states[side], _STATE_ROWS, n)
-        np.take(state[:gathered], keep, axis=1, out=following[:gathered], mode="clip")
-        state = following
-        index = keep if number == 0 else np.take(index, keep, out=work.index[side][:n], mode="clip")
+        state, index = _compact(state, index, keep, work, side)
         newton, residual, t_newton, width, half, t_next = _rows(work.scratch, _SCRATCH_ROWS, n)
         # P0 and w1 go to the rows of the Newton step and t_newton, formed from them.
         for value, out in ((p0, newton), (w_cav, residual), (w1, t_newton)):
             np.take(value, keep, out=out, mode="clip")
         _, lo, hi, t = state[:4]
-        if number == 0:
-            np.subtract(hi, lo, out=state[_STEP])
-            np.copyto(state[_STEP_OLD], state[_STEP])
         flag, ok, moving = _rows(work.flags, 3, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.multiply(residual, newton, out=newton)
@@ -426,16 +416,23 @@ def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
         np.copyto(t, t_next)
         if not moving.all():
             keep = np.flatnonzero(moving)
-            n = keep.size
-            if n == 0:
+            if not (n := keep.size):
                 return roots
             side = 1 - side
-            state = np.take(state, keep, axis=1, out=_rows(work.states[side], _STATE_ROWS, n), mode="clip")
-            index = np.take(index, keep, out=work.index[side][:n], mode="clip")
+            state, index = _compact(state, index, keep, work, side)
     raise SimulationError(
         f"waiting-time inversion did not converge in {_MAX_STEPS} steps "
         f"(bracket [{state[_LO, 0]:.6g}, {state[_HI, 0]:.6g}])"
     )
+
+
+def _compact(state, index, keep, work: _Workspace, side: int):
+    """The state columns ``keep`` and their result positions, gathered into the buffers of ``side``."""
+    n = keep.size
+    state = np.take(state, keep, axis=1, out=_rows(work.states[side], _STATE_ROWS, n), mode="clip")
+    if isinstance(index, slice):  # the first step's, every element in order
+        return state, keep
+    return state, np.take(index, keep, out=work.index[side][:n], mode="clip")
 
 
 def _classify(v, total, cavity, atom_a, out) -> np.ndarray:
@@ -471,7 +468,8 @@ def simulate_trajectories(
     Returns (times, codes, detected): jump times (NaN when none), channel
     codes (0 cavity, 1 spontaneous from atom a, 2 from atom b, -1 none), and
     the detector-thinning flags.  Identical results regardless of how the
-    index range is split into batches.
+    index range is split into batches.  A batch wider than _CHUNK runs chunk
+    by chunk, in about the memory of its results plus one chunk.
     """
     seed = _check_seed(seed)
     start, count = operator.index(start), operator.index(count)
@@ -485,9 +483,12 @@ def simulate_trajectories(
     if horizon <= 0.0:
         raise NegativeTimeError("horizon must be positive")
 
-    # A thread keeps buffers for chunks of up to _CHUNK trajectories (about
-    # 5 MiB); a wider batch computes in buffers of its own call.
-    work = (_WORKSPACE if count <= _CHUNK else _Workspace()).reserve(count)
+    if count > _CHUNK:
+        spans = [(k, min(_CHUNK, start + count - k)) for k in range(start, start + count, _CHUNK)]
+        parts = [simulate_trajectories(params, seed, *span, horizon) for span in spans]
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    work = _WORKSPACE
     draws = _uniform_blocks(seed, start, _rows(work.draws, count, _DRAWS_PER_TRAJECTORY))
     # The second Newton state is free until the inversion's first step.
     u, sorted_u = _rows(work.states[1], 2, count)
@@ -584,9 +585,7 @@ def run_ensemble(
         results = list(map(tally, jobs))
 
     counts = np.zeros((3, grid.size), dtype=np.int64)
-    for cav, spon in results:
-        counts[1] += cav
-        counts[2] += spon
+    counts[1:] = np.sum(results, axis=0)
     counts[0] = n - counts[1] - counts[2]
     counts.setflags(write=False)
     grid = grid.copy()

@@ -59,7 +59,7 @@ def _inversion(params, u, wrap=lambda kernel: kernel):
     """
     kernel, table = _table(params, default_horizon(params))
     u = np.asarray(u, dtype=float)
-    work = montecarlo._Workspace().reserve(u.size)
+    work = montecarlo._Workspace()
     bracket = montecarlo._bracket_from_table(table, u, work)
     return montecarlo._invert_survival(wrap(kernel), *bracket, work)
 
@@ -82,7 +82,7 @@ class TestWaitingTime:
         for params in (fig_params, INVERSION_REGIMES["gamma_zero"]):
             kernel, table = _table(params, default_horizon(params))
             u = np.array([1.0, 0.5, 1.0])
-            work = montecarlo._Workspace().reserve(u.size)
+            work = montecarlo._Workspace()
             bracket = montecarlo._bracket_from_table(table, u, work)
             assert bracket[3][0] == bracket[3][2] == 0.0
             times, total, cavity, atom_a = montecarlo._invert_survival(kernel, *bracket, work)
@@ -117,6 +117,16 @@ class TestWaitingTime:
     def test_bad_horizon_rejected(self, fig_params):
         with pytest.raises(NegativeTimeError):
             simulate_trajectories(fig_params, 42, 0, 4, horizon=-1.0)
+
+    @pytest.mark.parametrize("horizon", [1e-316, 5e-324])
+    def test_subnormal_horizon_runs(self, fig_params, horizon):
+        # Below a horizon of about 5e-315 the start table's first time
+        # underflowed to 0 and numpy raised "Geometric sequence cannot
+        # include zero"; P0 is 1 there, so every trajectory survives.
+        times, codes, detected = simulate_trajectories(fig_params, 1, 0, 50, horizon=horizon)
+        assert np.all(np.isnan(times))
+        assert np.all(codes == -1)
+        assert not np.any(detected)
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
     def test_non_finite_horizon_rejected(self, fig_params, horizon):
@@ -607,16 +617,30 @@ class TestWorkspace:
         assert sum(steps[1:]) <= 0.75 * 2**20
 
     def test_kept_buffers_bounded_by_chunk(self, fig_params):
-        # A wider batch must not leave its buffers to the thread for good.
+        # A wider batch runs chunk by chunk in the thread's buffers: a warm
+        # 4-chunk batch peaks at its results, their parts and one chunk's
+        # allocations (1.25 MiB); buffers of the batch's own width peaked at
+        # 20.4 MiB.  Its results are those of any other split.
         simulate_trajectories(fig_params, 3, 0, CHUNK)
-        wide = simulate_trajectories(fig_params, 3, 0, 3 * CHUNK + 5)
-        assert montecarlo._WORKSPACE.width == CHUNK
-        parts = [
-            simulate_trajectories(fig_params, 3, start, min(CHUNK, 3 * CHUNK + 5 - start))
-            for start in range(0, 3 * CHUNK + 5, CHUNK)
-        ]
-        for k in range(3):
-            assert np.array_equal(wide[k], np.concatenate([part[k] for part in parts]), equal_nan=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_trajectories(fig_params, 3, 0, 4 * CHUNK)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+        size = 3 * CHUNK + 5
+        for params in (fig_params, INVERSION_REGIMES["staircase"]):
+            for start in (0, 777):
+                wide = simulate_trajectories(params, 3, start, size)
+                parts = [
+                    simulate_trajectories(params, 3, begin, min(10_000, start + size - begin))
+                    for begin in range(start, start + size, 10_000)
+                ]
+                for k in range(3):
+                    whole = np.concatenate([part[k] for part in parts])
+                    assert np.array_equal(wide[k], whole, equal_nan=True)
 
     def test_concurrent_threads_on_different_rates_match_serial(self):
         # Three threads (more than the cores of a small machine) run chunks
