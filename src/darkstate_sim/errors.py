@@ -14,7 +14,7 @@ class NegativeTimeError(SimulationError):
 
 
 class ZeroRateError(SimulationError):
-    """A jump was requested from a state with zero total emission rate."""
+    """The total emission rate at a jump was negative or not a number."""
 
 
 class EmptyGridError(SimulationError):

@@ -13,19 +13,19 @@ A batch evaluates the closed form once per point, through
 ``propagator._survival_kernel``: from the three real amplitudes there, P0
 (bit for bit the budget's), w1 and the cavity and atom-a rates.  A root's
 last evaluation is at its accepted time, so the rates it leaves behind pick
-the channel.  The start table on log-spaced times brackets every root; it
-depends only on the rates and the horizon, so it is built once per (g_a,
-g_b, kappa, gamma, horizon) and shared, read-only, by every batch and
-thread.  Each root starts from one Horner evaluation of the inverse quintic
-Hermite interpolant of t in log P0 on its interval, whose coefficients the
-table stores; they match dt/dlog P0 and d2t/dlog P0^2, both from the
-amplitudes at the table times.  Each Newton step evaluates only the roots
-still active: on the paper's set a 16 384-trajectory chunk takes two steps
-over about 19 000 points in all, 1.15 per jump, and no other evaluation.
-A step stops the roots that meet the tolerance right after their
-evaluation and gathers the rest before it forms anything else, so the
-Newton step, the bracket and the other stop tests are formed only for the
-roots that miss it (about 2 450 of 16 384 after the first evaluation).
+the channel.  The start table on log-spaced times brackets every root.  It
+depends only on the rates and the horizon, so ``_rate_table`` builds it from
+one kernel evaluation once per (g_a, g_b, kappa, gamma, horizon), keeps the
+last 8, and shares them read-only with every batch and thread.  It stores
+the inverse quintic Hermite interpolant of t in log P0 on each interval,
+matching dt/dlog P0 and d2t/dlog P0^2, and each root's first Newton state
+is its bracket and one Horner evaluation of it.  Each Newton step
+evaluates only the roots still active: on the paper's set a 16 384-trajectory
+chunk takes two steps over about 19 000 points in all, 1.15 per jump.  A
+step stops the roots that meet the tolerance right after their evaluation
+and gathers the rest before it forms anything else, so the Newton step, the
+bracket and the other stop tests are formed only for the roots that miss it
+(about 2 450 of 16 384 after the first evaluation).
 
 A chunk of up to _CHUNK trajectories computes in buffers its thread allocates
 once (``_Workspace``), so a serial run neither grows nor trims the heap; a
@@ -169,7 +169,7 @@ class _StartTable(NamedTuple):
     ``p0_end`` is P0 at the horizon.  Row k of ``intervals`` belongs to
     [times[k], times[k+1]]: log E[k], the inverse height 1/(log E[k+1] -
     log E[k]), and the coefficients a_0 .. a_5 of the quintic t = sum a_j s^j
-    in s = (log u - log E[k]) * inverse height (see _inverse_quintic).
+    in s = (log u - log E[k]) * inverse height (see _rate_table).
     """
 
     times: np.ndarray
@@ -183,73 +183,60 @@ def _start_table(params: Parameters, horizon: float) -> _StartTable:
     return _rate_table(*_rate_key(params), horizon)
 
 
-# Bounded like propagator._rate_projectors: 128 tables of 320 KiB hold every
-# rate set and horizon a CLI run or a benchmark round cycles through.
-@functools.lru_cache(maxsize=128)
+# Sized by the traffic: a round of the mc_ensemble benchmark cycles 3 tables,
+# of cli_tables 2, a CLI process builds 1, and the closed forms none; 8
+# tables of 320 KiB hold them all, and a sweep over many rate sets 2.5 MiB.
+@functools.lru_cache(maxsize=8)
 def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: float) -> _StartTable:
+    """The start table for the four rates and ``horizon``, from one kernel evaluation.
+
+    With y = log P0, y' = -w1/P0 and y'' = -w1'/P0 - y'^2, the inverse t(y)
+    has dt/dy = -P0/w1 and d2t/dy2 = -y''/y'^3; w1' comes from the amplitudes
+    c that the kernel leaves in its rows 0 to 2, through dc/dt = -M c.  Each
+    interval's a_0 .. a_5 are those of the quintic Hermite interpolant of
+    t(s), s in [0, 1], that matches t, height * dt/dy and height^2 * d2t/dy2
+    at both ends; they are not finite where those are not (w1 = 0 at t = 0
+    when gamma = 0) or the height is 0 (a flat step of the envelope).  Raises
+    SimulationError where P0 or w1 is not finite.
+    """
     # A horizon below about 5e-315 underflows the first time to 0, which geomspace rejects.
     first = max(min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma)), math.ulp(0.0))
     times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
     times[-1] = horizon
-    p0, tangent, curvature = _inverse_derivatives(Parameters(g_a, g_b, kappa, gamma), times)
-    envelope = np.minimum.accumulate(p0)
-    intervals = np.empty((_TABLE_POINTS, 8))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_envelope = np.log(envelope)
-        height = np.diff(log_envelope)
-        intervals[:, 0] = log_envelope[:-1]
-        np.divide(1.0, height, out=intervals[:, 1])
-        _inverse_quintic(times, height, tangent, curvature, out=intervals[:, 2:])
-    arrays = times, -envelope, intervals
-    for array in arrays:
-        array.setflags(write=False)
-    return _StartTable(*arrays, float(p0[-1]))
-
-
-def _inverse_derivatives(params: Parameters, times: np.ndarray):
-    """P0 at ``times``, and dt/dy and d2t/dy2 of its inverse t(y), y = log P0.
-
-    With y' = -w1/P0 and y'' = -w1'/P0 - y'^2, the inverse has dt/dy = 1/y'
-    = -P0/w1 and d2t/dy2 = -y''/y'^3.  All of it comes from one kernel
-    evaluation: the kernel leaves the amplitudes c in its rows 0 to 2, and
-    dc/dt = -M c, so that w1' = 4 kappa c_100 c_100' + 4 gamma (c_010 c_010'
-    + c_001 c_001').  Raises SimulationError where P0 or w1 is not finite.
-    """
+    params = Parameters(g_a, g_b, kappa, gamma)
     buffer = np.empty((_KERNEL_ROWS, times.size))
     with np.errstate(over="ignore", invalid="ignore"):
         p0, w1, _, _ = _survival_kernel(params)(times, buffer)
     if not (np.isfinite(p0).all() and np.isfinite(w1).all()):
-        raise SimulationError(f"survival law not finite on [0, {times[-1]!r}]: the horizon is too long")
+        raise SimulationError(f"survival law not finite on [0, {horizon!r}]: the horizon is too long")
     products = np.matmul(-_generator_matrix(params), buffer[:3])
     products *= buffer[:3]
     w1_rate = np.add(products[1], products[2], out=products[1])
-    w1_rate *= 4.0 * params.gamma
-    w1_rate += 4.0 * params.kappa * products[0]
+    w1_rate *= 4.0 * gamma
+    w1_rate += 4.0 * kappa * products[0]
+    envelope = np.minimum.accumulate(p0)
+    intervals = np.empty((_TABLE_POINTS, 8))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = -w1 / p0
+        tangent = -p0 / w1
         curvature = (w1_rate / p0 + slope * slope) / (slope * slope * slope)
-        return p0.copy(), -p0 / w1, curvature
-
-
-def _inverse_quintic(times, height, tangent, curvature, out) -> None:
-    """Monomial coefficients (a_0 .. a_5) of t(s) on each table interval, into the rows of ``out``.
-
-    The quintic Hermite interpolant in s in [0, 1] that matches t, dt/ds =
-    height * tangent and d2t/ds2 = height^2 * curvature at both ends, where
-    tangent and curvature are dt/dy and d2t/dy2 at the table times.  Where
-    they are not finite (w1 = 0 at t = 0 when gamma = 0) or the height is 0
-    (a flat step of the envelope), so are the coefficients.
-    """
-    span = np.diff(times)
-    v0, v1 = height * tangent[:-1], height * tangent[1:]
-    square = height * height
-    c0, c1 = square * curvature[:-1], square * curvature[1:]
-    out[:, 0] = times[:-1]
-    out[:, 1] = v0
-    out[:, 2] = 0.5 * c0
-    out[:, 3] = 10.0 * span - 6.0 * v0 - 4.0 * v1 - 1.5 * c0 + 0.5 * c1
-    out[:, 4] = -15.0 * span + 8.0 * v0 + 7.0 * v1 + 1.5 * c0 - c1
-    out[:, 5] = 6.0 * span - 3.0 * (v0 + v1) - 0.5 * (c0 - c1)
+        log_envelope = np.log(envelope)
+        height = np.diff(log_envelope)
+        intervals[:, 0] = log_envelope[:-1]
+        np.divide(1.0, height, out=intervals[:, 1])
+        span = np.diff(times)
+        v0, v1 = height * tangent[:-1], height * tangent[1:]
+        c0, c1 = height * height * curvature[:-1], height * height * curvature[1:]
+        intervals[:, 2] = times[:-1]
+        intervals[:, 3] = v0
+        intervals[:, 4] = 0.5 * c0
+        intervals[:, 5] = 10.0 * span - 6.0 * v0 - 4.0 * v1 - 1.5 * c0 + 0.5 * c1
+        intervals[:, 6] = -15.0 * span + 8.0 * v0 + 7.0 * v1 + 1.5 * c0 - c1
+        intervals[:, 7] = 6.0 * span - 3.0 * (v0 + v1) - 0.5 * (c0 - c1)
+    arrays = times, -envelope, intervals
+    for array in arrays:
+        array.setflags(write=False)
+    return _StartTable(*arrays, float(p0[-1]))
 
 
 # Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the
@@ -288,8 +275,8 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[: rows * width].reshape(rows, width)
 
 
-def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace):
-    """log u, bracket [lo, hi] and start for each root of P0(t) = u from the table.
+def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace) -> np.ndarray:
+    """The first Newton state of the roots of P0(t) = u, from the table.
 
     The bracket is the pair of neighbouring table times around u (on the
     monotone envelope, which absorbs round-off wiggles of P0).  The start is
@@ -298,11 +285,12 @@ def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace):
     is not finite or leaves the bracket (w1 = 0 at t = 0 when gamma = 0, the
     flat steps of a staircase) fall back to linear interpolation of log P0,
     and to the bracket's midpoint where that fails too.  u = 1 starts at t = 0
-    exactly.  The four rows are written into the first Newton state of
-    ``work``, which must not hold ``u`` there.
+    exactly.  Returns the (_STATE_ROWS, n) rows (log u, lo, hi, t, step, step
+    before last), both steps hi - lo, in the first state buffer of ``work``,
+    which must not hold ``u``.
     """
     n = u.size
-    log_u, lo, hi, t = _rows(work.states[0], _STATE_ROWS, n)[:4]
+    log_u, lo, hi, t, step, step_old = state = _rows(work.states[0], _STATE_ROWS, n)
     share = _rows(work.scratch, _SCRATCH_ROWS, n)[0]
     flag, inside, _ = _rows(work.flags, 3, n)
     times = table.times
@@ -330,24 +318,26 @@ def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace):
             linear = lo_bad + share[bad] * (hi_bad - lo_bad)
         t[bad] = np.where((linear >= lo_bad) & (linear <= hi_bad), linear, 0.5 * (lo_bad + hi_bad))
     np.copyto(t, 0.0, where=np.greater_equal(u, 1.0, out=flag))
-    return log_u, lo, hi, t
+    np.subtract(hi, lo, out=step)
+    np.copyto(step_old, step)
+    return state
 
 
-def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
+def _invert_survival(kernel, state: np.ndarray, work: _Workspace):
     """Safeguarded Newton (Numerical Recipes ``rtsafe``) on log P0(t) = log u.
 
     ``kernel(t, out)`` returns (P0, w1, w_cav, w_a) at an array of times,
     where w1 = -dP0/dt is the total emission rate, so that -w1/P0 is the
-    slope of log P0.  Each root must satisfy P0(lo) > u >= P0(hi), and ``t``
-    is a start inside [lo, hi].  A Newton step that leaves the bracket, or
-    that does not halve the step before last, becomes a bisection, and every
-    evaluation tightens the bracket.  Each element stops on its own rule (see
-    _RESIDUAL_TOL).
+    slope of log P0.  ``state`` is the first Newton state that
+    ``_bracket_from_table`` leaves in ``work``: each root must satisfy P0(lo)
+    > u >= P0(hi), with its start t inside [lo, hi].  A Newton step that
+    leaves the bracket, or that does not halve the step before last, becomes a
+    bisection, and every evaluation tightens the bracket.  Each element stops
+    on its own rule (see _RESIDUAL_TOL).
 
     Only the elements still active are evaluated, and a step is formed only
-    for those that miss the tolerance; both step rows start as hi - lo,
-    formed for every element before the loop.  Each step runs in this order:
-    the kernel at t, whose time and rates are written back (so an element
+    for those that miss the tolerance.  Each step runs in this order: the
+    kernel at t, whose time and rates are written back (so an element
     that stops leaves its last evaluation); the residual stop test; a gather
     (``_compact``) of the elements that go on, their state with the residual,
     P0 and w1, into the other buffers of ``work``; and then, on those alone,
@@ -360,12 +350,7 @@ def _invert_survival(kernel, log_u, lo, hi, t, work: _Workspace):
     them, in ``work``; raises SimulationError if some root still moves after
     _MAX_STEPS steps.
     """
-    n = t.size
-    state = _rows(work.states[0], _STATE_ROWS, n)
-    for row, value in zip(state, (log_u, lo, hi, t)):
-        np.copyto(row, value)  # nothing to copy where the bracket wrote them
-    np.subtract(state[_HI], state[_LO], out=state[_STEP])
-    np.copyto(state[_STEP_OLD], state[_STEP])
+    n = state.shape[1]
     roots = _rows(work.roots, 4, n)
     index = slice(None)  # on the first step every element is active, in order
     side, old_row = 0, _STEP_OLD
@@ -442,15 +427,18 @@ def _classify(v, total, cavity, atom_a, out) -> np.ndarray:
     v < w_cav/w1 selects CAVITY, v < (w_cav+w_a)/w1 selects SPON_A, and
     SPON_B otherwise.  The code is the number of thresholds at or below v,
     which grow in that order.  ``out`` holds two arrays of the rates' shape
-    for the thresholds.  Raises ZeroRateError where the total rate w1 is not
-    positive.
+    for the thresholds.  A zero total, only at gamma = 0 where both atomic
+    rates vanish identically, selects CAVITY: the channel as t -> 0+ (a zero
+    draw), where the 0/0 thresholds are NaN and compare false.  Raises
+    ZeroRateError where the total rate w1 is negative or NaN.
     """
-    if (total <= 0.0).any():
-        raise ZeroRateError("total emission rate vanishes at the jump state")
+    if not (total >= 0.0).all():
+        raise ZeroRateError("total emission rate negative or NaN at the jump state")
     cavity_share, atom_share = out
-    np.divide(cavity, total, out=cavity_share)
-    np.add(cavity, atom_a, out=atom_share)
-    atom_share /= total
+    with np.errstate(invalid="ignore"):
+        np.divide(cavity, total, out=cavity_share)
+        np.add(cavity, atom_a, out=atom_share)
+        atom_share /= total
     codes = np.greater_equal(v, cavity_share).view(np.int8)
     codes += np.greater_equal(v, atom_share)
     return codes
@@ -505,12 +493,10 @@ def simulate_trajectories(
     order = np.argsort(u)
     np.take(u, order, out=sorted_u, mode="clip")
     first = int(np.searchsorted(sorted_u, table.p0_end, side="right"))
-    if first == count:
-        return times, codes, detected
     jumping = order[first:]
 
-    bracket = _bracket_from_table(table, sorted_u[first:], work)
-    t_jump, *rates = _invert_survival(_survival_kernel(params), *bracket, work)
+    state = _bracket_from_table(table, sorted_u[first:], work)
+    t_jump, *rates = _invert_survival(_survival_kernel(params), state, work)
     jumps = jumping.size
     v, detect_draw, *thresholds = _rows(work.scratch, _SCRATCH_ROWS, jumps)[:4]
     np.take(draws[:, 1], jumping, out=v, mode="clip")

@@ -61,7 +61,7 @@ def _inversion(params, u, wrap=lambda kernel: kernel):
     u = np.asarray(u, dtype=float)
     work = montecarlo._Workspace()
     bracket = montecarlo._bracket_from_table(table, u, work)
-    return montecarlo._invert_survival(wrap(kernel), *bracket, work)
+    return montecarlo._invert_survival(wrap(kernel), bracket, work)
 
 
 def _roots(params, u):
@@ -85,7 +85,7 @@ class TestWaitingTime:
             work = montecarlo._Workspace()
             bracket = montecarlo._bracket_from_table(table, u, work)
             assert bracket[3][0] == bracket[3][2] == 0.0
-            times, total, cavity, atom_a = montecarlo._invert_survival(kernel, *bracket, work)
+            times, total, cavity, atom_a = montecarlo._invert_survival(kernel, bracket, work)
             assert times[0] == times[2] == 0.0
             assert times[1] > 0.0
             # At t = 0 only atom a radiates: rates (w1, w_cav, w_a) = (2 gamma, 0, 2 gamma).
@@ -216,10 +216,51 @@ class TestClassifyJump:
         assert codes.dtype == np.int8
         assert codes.tolist() == [0, 1, 2]
 
-    def test_zero_total_rate_raises(self):
+    def test_zero_total_rate_is_cavity(self):
+        # At gamma = 0 and t = 0 every rate vanishes: the channel as t -> 0+
+        # is the cavity, whatever the draw.
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)  # gamma = 0
+        codes = self._classify(self.V, self._rates(p, np.array([0.0, 1.0, 0.0]), self.V.size))
+        assert codes.tolist() == [0] * self.V.size
+
+    @pytest.mark.parametrize("total", [-1e-300, -1.0, np.nan])
+    def test_negative_or_nan_total_rate_raises(self, total):
+        rates = (np.array([1.0, total]), np.array([0.5, 0.0]), np.array([0.25, 0.0]))
         with pytest.raises(ZeroRateError):
-            self._classify(np.array([0.5]), self._rates(p, np.array([0.0, 1.0, 0.0]), 1))
+            self._classify(np.array([0.5, 0.5]), rates)
+
+    def test_zero_draw_at_gamma_zero_is_cavity_jump(self, monkeypatch):
+        # A zero Philox draw gives u = 1, whose root is t = 0, where all
+        # three rates vanish at gamma = 0.  It is a cavity jump at t = 0, and
+        # every other trajectory is left as it was.
+        params = INVERSION_REGIMES["gamma_zero"]
+        zeroed = 3 * CHUNK // 2 + 5
+        draws = montecarlo._uniform_blocks
+
+        def zero_one_draw(seed, start, out):
+            out = draws(seed, start, out)
+            if start <= zeroed < start + out.shape[0]:
+                out[zeroed - start, 0] = 0.0
+            return out
+
+        plain = simulate_trajectories(params, 5, CHUNK, CHUNK)
+        grid = [0.0, 1.0, 100.0]
+        plain_counts = run_ensemble(params, 2 * CHUNK, grid, 5, workers=1).counts
+        monkeypatch.setattr(montecarlo, "_uniform_blocks", zero_one_draw)
+        times, codes, detected = simulate_trajectories(params, 5, CHUNK, CHUNK)
+        k = zeroed - CHUNK
+        assert (times[k], codes[k], detected[k]) == (0.0, 0, True)  # eta = 1
+        others = np.arange(CHUNK) != k
+        for got, want in zip((times, codes, detected), plain):
+            assert np.array_equal(got[others], want[others], equal_nan=got.dtype.kind == "f")
+        # In the ensemble the trajectory moves from its bin at each grid time
+        # (no jump yet, or its plain channel) to the cavity's.
+        expected = plain_counts.copy()
+        channel_row = 1 if plain[1][k] == 0 else 2
+        for j, t in enumerate(grid):
+            expected[channel_row if plain[0][k] <= t else 0, j] -= 1  # NaN <= t is false
+            expected[1, j] += 1
+        assert np.array_equal(run_ensemble(params, 2 * CHUNK, grid, 5, workers=1).counts, expected)
 
     @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
     def test_codes_match_amplitude_pick(self, name):
@@ -543,10 +584,33 @@ class TestStartTableCache:
             assert montecarlo._rate_table.cache_info().currsize == 1
             assert cold == after_other
 
+    def test_ensemble_sweep_holds_at_most_eight_tables(self):
+        # A sweep over many rate sets keeps only the last few tables.
+        montecarlo._rate_table.cache_clear()
+        for k in range(20):
+            run_ensemble(Parameters(1.0, 1.0 + 0.01 * k, 1.0, 1e-3), 64, [1.0], k)
+        info = montecarlo._rate_table.cache_info()
+        assert (info.misses, info.currsize) == (20, 8)
+
+    def test_benchmark_sets_built_once(self):
+        # The three rate sets of the mc_ensemble benchmark, cycled as its
+        # rounds cycle them: each table is built once.
+        sets = [
+            (Parameters(1.0, 1.0, 1.0, 1e-3), [0.5, 5000.0]),
+            (Parameters(1.0, 1.0, 20.0, 1e-3), [0.5, 5000.0]),
+            (Parameters(1.0, 0.6, 1.0, 0.0), [0.5, 50.0]),
+        ]
+        montecarlo._rate_table.cache_clear()
+        for seed in (1, 2):
+            for params, grid in sets:
+                run_ensemble(params, 256, grid, seed)
+        info = montecarlo._rate_table.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+
     def test_cache_is_bounded(self, fig_params):
         montecarlo._rate_table.cache_clear()
         maxsize = montecarlo._rate_table.cache_info().maxsize
-        assert maxsize == 128
+        assert maxsize == 8
         for k in range(maxsize + 5):
             montecarlo._start_table(fig_params, 50.0 + k)
         assert montecarlo._rate_table.cache_info().currsize == maxsize
