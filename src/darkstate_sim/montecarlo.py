@@ -21,11 +21,11 @@ the inverse quintic Hermite interpolant of t in log P0 on each interval,
 matching dt/dlog P0 and d2t/dlog P0^2, and each root's first Newton state
 is its bracket and one Horner evaluation of it.  Each Newton step
 evaluates only the roots still active: on the paper's set a 16 384-trajectory
-chunk takes two steps over about 19 000 points in all, 1.15 per jump.  A
-step stops the roots that meet the tolerance right after their evaluation
-and gathers the rest before it forms anything else, so the Newton step, the
-bracket and the other stop tests are formed only for the roots that miss it
-(about 2 450 of 16 384 after the first evaluation).
+chunk takes two steps over about 19 000 points in all, 1.15 per jump.
+Roots leave the active set only at the stop test right after their
+evaluation; a step gathers the rest once and forms the Newton step, the
+bracket and the other stop rules for them alone (about 2 450 of 16 384
+after the first evaluation).  Every kappa > 0 gets a finite horizon.
 
 A chunk of up to _CHUNK trajectories computes in buffers its thread allocates
 once (``_Workspace``), so a serial run neither grows nor trims the heap; a
@@ -49,6 +49,7 @@ import functools
 import math
 import operator
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -74,10 +75,11 @@ _TABLE_START = 1e-9
 _TRANSIENT_START = 1e-3
 
 # A trajectory stops once |log P0(t) - log u| <= _RESIDUAL_TOL, tested right
-# after each evaluation and before any step is formed; the roots that miss it
-# get a step, and stop once their bracket is _BRACKET_ULPS ulp wide or the
-# step leaves t unchanged.  A stop test on the step size alone never fires
-# where round-off in P0 moves the Newton step by more than a few ulp.
+# after each evaluation and before any step is formed, the one stop point.
+# The roots that miss it get a step; one whose bracket is then _BRACKET_ULPS
+# ulp wide, or whose step leaves t unchanged, keeps its t and leaves at the
+# next test.  A stop test on the step size alone never fires where round-off
+# in P0 moves the Newton step by more than a few ulp.
 # _MAX_STEPS, in evaluations, guards termination (a root still moving after it
 # raises SimulationError): from the quintic start, batches stop within 2 or 3
 # steps, most roots at their first evaluation, or about 20 when kappa << Omega
@@ -135,14 +137,15 @@ def default_horizon(params: Parameters) -> float:
     A gamma so small that the closed form's exponents may overflow at
     15/gamma, with 15/gamma * (kappa + gamma + 2 Omega) not finite (gamma
     below about 3.2e-307 at g = kappa = 1, the subnormals included), gets
-    the gamma=0 horizon.
+    the gamma=0 horizon, cut to the largest double over kappa + gamma +
+    2 Omega where that is shorter (kappa below 7.9e-307 at g_a = g_b = 1).
     """
+    rate = params.kappa + params.gamma + 2.0 * math.sqrt(params.coupling_squared)
     if params.gamma > 0.0:
         horizon = 15.0 / params.gamma
-        rate = params.kappa + params.gamma + 2.0 * math.sqrt(params.coupling_squared)
         if math.isfinite(horizon * rate):
             return horizon
-    return 50.0 / params.kappa
+    return min(50.0 / params.kappa, sys.float_info.max / rate)
 
 
 def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -240,8 +243,7 @@ def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: flo
 
 
 # Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the
-# step before last, which trade rows each step.
-_LO, _HI, _STEP, _STEP_OLD = 1, 2, 4, 5
+# step before last.
 _STATE_ROWS = 6
 _SCRATCH_ROWS = 6
 
@@ -331,20 +333,21 @@ def _invert_survival(kernel, state: np.ndarray, work: _Workspace):
     slope of log P0.  ``state`` is the first Newton state that
     ``_bracket_from_table`` leaves in ``work``: each root must satisfy P0(lo)
     > u >= P0(hi), with its start t inside [lo, hi].  A Newton step that
-    leaves the bracket, or that does not halve the step before last, becomes a
-    bisection, and every evaluation tightens the bracket.  Each element stops
-    on its own rule (see _RESIDUAL_TOL).
+    leaves the bracket or is not finite, or that does not halve the step
+    before last, becomes a bisection, and every evaluation tightens the
+    bracket.  Each element stops on its own rule (see _RESIDUAL_TOL).
 
-    Only the elements still active are evaluated, and a step is formed only
-    for those that miss the tolerance.  Each step runs in this order: the
-    kernel at t, whose time and rates are written back (so an element
-    that stops leaves its last evaluation); the residual stop test; a gather
-    (``_compact``) of the elements that go on, their state with the residual,
-    P0 and w1, into the other buffers of ``work``; and then, on those alone,
-    the Newton step or bisection, the bracket update and the bracket-width
-    and unchanged-t stop tests, after which the elements these stop are
-    gathered out again.  The kernel is elementwise, so a result never depends
-    on the rest of the batch.  Elements with u = 1 stop at t = 0.
+    Only the elements still active are evaluated.  Each step runs in this
+    order: the kernel at t, whose time and rates are written back (so an
+    element that stops leaves its last evaluation); the stop test, the one
+    place where elements leave the active set; one gather of the elements
+    that go on, their state with the residual, P0 and w1, into the other
+    buffers of ``work``; and then, on those alone, the Newton step or
+    bisection, the bracket update and the bracket-width and unchanged-t
+    rules.  An element these stop keeps its t, is evaluated there once more
+    (bit for bit as before) and dropped by the next stop test; once none
+    moves, the call returns.  The kernel is elementwise, so a result never
+    depends on the rest of the batch.  Elements with u = 1 stop at t = 0.
 
     Returns the (4, n) rows of the times and the rates (w1, w_cav, w_a) at
     them, in ``work``; raises SimulationError if some root still moves after
@@ -352,72 +355,64 @@ def _invert_survival(kernel, state: np.ndarray, work: _Workspace):
     """
     n = state.shape[1]
     roots = _rows(work.roots, 4, n)
-    index = slice(None)  # on the first step every element is active, in order
-    side, old_row = 0, _STEP_OLD
+    index, side = slice(None), 0  # on the first step every element is active, in order
+    _rows(work.flags, 3, n)[2].fill(True)  # every element moves into the first step
     for _ in range(_MAX_STEPS):
         p0, w1, w_cav, w_a = kernel(state[3], _rows(work.kernel, _KERNEL_ROWS, n))
         for row, value in zip(roots, (state[3], w1, w_cav, w_a)):
             row[index] = value
+        flag, _, moving = _rows(work.flags, 3, n)  # moving: the last step's, nothing gathered since
         with np.errstate(divide="ignore", invalid="ignore"):
             residual = np.log(p0, out=w_cav)  # w_cav and w_a are written back
             residual -= state[0]
-        keep = np.flatnonzero(np.greater(np.abs(residual, out=w_a), _RESIDUAL_TOL, out=work.flags[:n]))
+        np.greater(np.abs(residual, out=w_a), _RESIDUAL_TOL, out=flag)
+        keep = np.flatnonzero(np.logical_and(flag, moving, out=flag))
         if not (n := keep.size):
             return roots
         side = 1 - side
-        state, index = _compact(state, index, keep, work, side)
+        state = np.take(state, keep, axis=1, out=_rows(work.states[side], _STATE_ROWS, n), mode="clip")
+        if isinstance(index, slice):  # the first step's: every element, in order
+            index = keep
+        else:
+            index = np.take(index, keep, out=work.index[side][:n], mode="clip")
         newton, residual, t_newton, width, half, t_next = _rows(work.scratch, _SCRATCH_ROWS, n)
         # P0 and w1 go to the rows of the Newton step and t_newton, formed from them.
         for value, out in ((p0, newton), (w_cav, residual), (w1, t_newton)):
             np.take(value, keep, out=out, mode="clip")
-        _, lo, hi, t = state[:4]
+        _, lo, hi, t, step, step_old = state
         flag, ok, moving = _rows(work.flags, 3, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(residual, newton, out=newton)
-            newton /= t_newton  # -f/f' for f = log P0 - log u
         np.copyto(lo, t, where=np.greater(residual, 0.0, out=flag))
         np.copyto(hi, t, where=np.less_equal(residual, 0.0, out=flag))
-        spare = residual  # free from here on
-        np.add(t, newton, out=t_newton)
-        # A Newton step is taken where it stays inside the bracket and at
-        # least halves the step before last; elsewhere the bracket is halved.
+        # A Newton step is taken where it stays inside the bracket (an overflowed
+        # one does not) and at least halves the step before last; elsewhere the
+        # bracket is halved.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(residual, newton, out=newton)
+            newton /= t_newton  # -f/f' for f = log P0 - log u
+            np.add(t, newton, out=t_newton)
+            spare = np.abs(newton, out=residual)  # the residual is free from here on
+            spare *= 2.0
         np.greater(t_newton, lo, out=ok)
         ok &= np.less(t_newton, hi, out=flag)
-        np.abs(newton, out=spare)
-        spare *= 2.0
-        ok &= np.less_equal(spare, np.abs(state[old_row], out=width), out=flag)
+        ok &= np.less_equal(spare, np.abs(step_old, out=width), out=flag)
         np.subtract(hi, lo, out=width)
         np.multiply(0.5, width, out=half)
         np.add(lo, half, out=t_next)
         np.copyto(t_next, t_newton, where=ok)
-        # The new step takes the row of the step before last.
-        np.copyto(state[old_row], half)
-        np.copyto(state[old_row], newton, where=ok)
-        old_row = _STEP + _STEP_OLD - old_row
+        np.copyto(step_old, step)  # rtsafe's dxold = dx
+        np.copyto(step, half)
+        np.copyto(step, newton, where=ok)
         np.spacing(hi, out=spare)
         spare *= _BRACKET_ULPS
         np.greater(width, spare, out=moving)
         moving &= np.not_equal(t_next, t, out=flag)
-        np.copyto(t, t_next)
-        if not moving.all():
-            keep = np.flatnonzero(moving)
-            if not (n := keep.size):
-                return roots
-            side = 1 - side
-            state, index = _compact(state, index, keep, work, side)
+        np.copyto(t, t_next, where=moving)
+        if not moving.any():
+            return roots
     raise SimulationError(
         f"waiting-time inversion did not converge in {_MAX_STEPS} steps "
-        f"(bracket [{state[_LO, 0]:.6g}, {state[_HI, 0]:.6g}])"
+        f"(bracket [{lo[moving][0]:.6g}, {hi[moving][0]:.6g}])"
     )
-
-
-def _compact(state, index, keep, work: _Workspace, side: int):
-    """The state columns ``keep`` and their result positions, gathered into the buffers of ``side``."""
-    n = keep.size
-    state = np.take(state, keep, axis=1, out=_rows(work.states[side], _STATE_ROWS, n), mode="clip")
-    if isinstance(index, slice):  # the first step's, every element in order
-        return state, keep
-    return state, np.take(index, keep, out=work.index[side][:n], mode="clip")
 
 
 def _classify(v, total, cavity, atom_a, out) -> np.ndarray:

@@ -143,6 +143,9 @@ class TestWaitingTime:
         # 15/gamma is finite, but the closed form's exponents overflow there.
         assert default_horizon(Parameters(1.0, 1.0, 2.0, 1e-307)) == 25.0
         assert default_horizon(Parameters(1.0, 1.0, 2.0, 1e-70)) == 1.5e71
+        # 50/kappa overflows too: cut to the largest double over kappa + gamma + 2 Omega.
+        rate = 1e-308 + 2.0 * math.sqrt(2.0)
+        assert default_horizon(Parameters(1.0, 1.0, 1e-308)) == sys.float_info.max / rate
 
     def test_unconverged_inversion_raises(self, fig_params, monkeypatch):
         # Roots still moving when the step budget runs out raise; unchecked,
@@ -164,6 +167,19 @@ class TestWaitingTime:
         # here (pyproject.toml).
         params = Parameters(1.0, 1.0, 1.0, gamma)
         n, grid = 4000, [1.0, 5.0]
+        est = run_ensemble(params, n, grid, 3)
+        exact = emission_probabilities(params, grid)
+        for hat, ref in [(est.p0_hat, exact.p0), (est.p_cav_hat, exact.p_cav)]:
+            assert np.all(np.abs(hat - ref) <= 3.0 * np.sqrt(ref * (1.0 - ref) / n))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-310])
+    @pytest.mark.parametrize("kappa", [1e-306, 5e-307, 1e-308])
+    def test_tiny_kappa_ensemble_matches_budget(self, kappa, gamma):
+        # Once, at 1e-308 the horizon 50/kappa = inf raised "horizon must be
+        # finite" although the caller passed none, and at 1e-306 and 5e-307
+        # the Newton step overflowed (a RuntimeWarning, an error here).
+        params = Parameters(1.0, 1.0, kappa, gamma)
+        n, grid = 4000, [1.0, 5.0, 1e306]
         est = run_ensemble(params, n, grid, 3)
         exact = emission_probabilities(params, grid)
         for hat, ref in [(est.p0_hat, exact.p0), (est.p_cav_hat, exact.p_cav)]:
@@ -443,6 +459,25 @@ class TestInversion:
                 # 45.6k when the table was rebuilt per chunk and the
                 # amplitudes re-evaluated for the channel.
                 assert sum(steps) <= 20_000
+
+    # Newton kernel calls of a warm chunk at seed 42.  Each call evaluates a
+    # root still moving; a pass after every root has stopped on the
+    # bracket-width or unchanged-t rule would evaluate only stopped roots.
+    NEWTON_CALLS = {
+        "paper": 2,
+        "overdamped": 2,
+        "critical": 2,
+        "bad_cavity": 2,
+        "kappa_1e6": 3,
+        "gamma_zero": 3,
+        "gb_zero": 3,
+        "staircase": 18,
+    }
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_no_kernel_pass_after_last_root_stops(self, name, monkeypatch):
+        steps, _ = self._kernel_points(INVERSION_REGIMES[name], monkeypatch)
+        assert len(steps) <= self.NEWTON_CALLS[name]
 
     def test_kernel_points_when_kappa_is_small(self, monkeypatch):
         # The staircase defeats the table start, so more steps are taken,
