@@ -15,12 +15,10 @@ from .entanglement import (
 )
 from .errors import (
     DegenerateCouplingError,
-    EmptyGridError,
     NegativeTimeError,
     ProbabilityRangeError,
     SimulationError,
     ZeroProbabilityConditionError,
-    ZeroRateError,
 )
 from .model import ConditionalGenerator, Parameters, conditional_generator
 from .montecarlo import EnsembleEstimate, default_horizon, run_ensemble, simulate_trajectories
@@ -38,7 +36,6 @@ __all__ = [
     "ConditionalGenerator",
     "ConditionedMixture",
     "DegenerateCouplingError",
-    "EmptyGridError",
     "EnsembleEstimate",
     "NegativeTimeError",
     "Parameters",
@@ -48,7 +45,6 @@ __all__ = [
     "RepumpResult",
     "SimulationError",
     "ZeroProbabilityConditionError",
-    "ZeroRateError",
     "cavity_emission_saturation",
     "conditional_generator",
     "conditional_state",

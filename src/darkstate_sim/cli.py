@@ -62,51 +62,42 @@ def _parameters(args, eta: float = 1.0) -> Parameters:
     return Parameters(g_a=args.ga, g_b=args.gb, kappa=args.kappa, gamma=args.gamma, eta=eta)
 
 
-def _check_grid(args) -> None:
+def _grid(args, kappa: float | None = None) -> np.ndarray:
+    """``--steps`` times up to ``--tmax``, from 0 or, given kappa, from the onset 5/kappa."""
     if args.steps < 2:
         raise ValueError("need at least 2 grid points")
     if not math.isfinite(args.tmax):
         raise ValueError("tmax must be finite")
-
-
-def _grid_from_zero(args) -> np.ndarray:
-    _check_grid(args)
-    if not args.tmax > 0.0:
-        raise ValueError("tmax must be positive")
-    return np.linspace(0.0, args.tmax, args.steps)
-
-
-def _grid_post_transient(args, kappa: float) -> np.ndarray:
-    _check_grid(args)
-    start = _POST_TRANSIENT_ONSET / kappa
+    start = 0.0 if kappa is None else _POST_TRANSIENT_ONSET / kappa
     if not args.tmax > start:
-        raise ValueError(f"tmax must exceed the post-transient onset {start:g}")
+        raise ValueError("tmax must be positive" if kappa is None
+                         else f"tmax must exceed the post-transient onset {start:g}")
     return np.linspace(start, args.tmax, args.steps)
 
 
 def cmd_amplitudes(args):
     params = _parameters(args)
-    grid = _grid_from_zero(args)
+    grid = _grid(args)
     return ["t", "P_100", "P_010", "P_001"], [grid, *(conditional_state(params, grid) ** 2).T]
 
 
 def cmd_probabilities(args):
     params = _parameters(args)
-    grid = _grid_from_zero(args)
+    grid = _grid(args)
     triple = emission_probabilities(params, grid)
     return ["t", "P0", "Pcav", "Pspon"], [grid, triple.p0, triple.p_cav, triple.p_spon]
 
 
 def cmd_fidelity(args):
     params = _parameters(args)
-    grid = _grid_post_transient(args, params.kappa)
+    grid = _grid(args, params.kappa)
     columns = [mixture_asymptotic(params, grid, eta=eta).lam for eta in args.eta]
     return ["t"] + [f"F_eta{eta:g}" for eta in args.eta], [grid, *columns]
 
 
 def cmd_entropy(args):
     params = _parameters(args)
-    grid = _grid_post_transient(args, params.kappa)
+    grid = _grid(args, params.kappa)
     entropy = relative_entropy_of_entanglement(mixture_asymptotic(params, grid, eta=args.eta))
     return ["t", "E"], [grid, entropy]
 
@@ -127,7 +118,7 @@ def cmd_trajectories(args):
     if args.trajectories < 1:
         raise ValueError("need at least 1 trajectory")
     params = _parameters(args, eta=args.eta)
-    grid = _grid_from_zero(args)
+    grid = _grid(args)
     estimate = run_ensemble(params, args.trajectories, grid, args.seed)
     exact = emission_probabilities(params, grid)
     columns = [

@@ -27,12 +27,7 @@ import numpy as np
 
 from .errors import ZeroProbabilityConditionError
 from .model import Parameters
-from .propagator import (
-    _check_times,
-    _clipped_probability,
-    cavity_emission_saturation,
-    emission_probabilities,
-)
+from .propagator import _check_times, cavity_emission_saturation, emission_probabilities
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,12 +80,14 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
     e^{-2 gamma t} that is left once the bright components have rung down,
     together with the saturated cavity budget: the working point after the
     cavity transient has decayed and only the slow spontaneous envelope
-    evolves.  At eta = 0, lam is that survival weight itself.
+    evolves.  At eta = 0, lam is that survival weight itself.  Both of its
+    factors lie in [0, 1] after rounding (g_b^2 <= g_a^2 + g_b^2, and the
+    exponent is not positive), so it needs no clip.
     """
     eta = _resolve_eta(params, eta)
     saturation = cavity_emission_saturation(params)
     weight = params.g_b**2 / params.coupling_squared
-    p0 = _clipped_probability(weight * np.exp(-2.0 * params.gamma * _check_times(t)))
+    p0 = weight * np.exp(-2.0 * params.gamma * _check_times(t))
     return _mixture(p0, saturation, eta, t)
 
 
@@ -121,7 +118,8 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     The ground-state fraction is re-excited and detected with probability
     ``p_detect``; observing no click updates the dark-pair weight to
     lam / (lam + (1 - lam)(1 - p_detect)).  Elementwise on an array-valued
-    mixture.
+    mixture.  The denominator rounds to at least lam, so the new weight lies
+    in [0, 1] with no clip; a zero denominator (lam = 0, p_detect = 1) gives 0.
     """
     p_detect = float(p_detect)
     if not (math.isfinite(p_detect) and 0.0 <= p_detect <= 1.0):
@@ -129,9 +127,8 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     lam = np.asarray(mixture.lam, dtype=float)
     click = (1.0 - lam) * p_detect
     denominator = lam + (1.0 - lam) * (1.0 - p_detect)
-    new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0)
-    # min(1, max(0, x)) with Python's tie rules, which map -0.0 to 0.0.
-    new_lam = np.where(new_lam > 0.0, np.where(new_lam < 1.0, new_lam, 1.0), 0.0)
+    # + 0.0 maps a -0.0 weight to 0.0, so that the CSV writes 0, not -0.
+    new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0) + 0.0
     if new_lam.ndim == 0:
         new_lam, click = float(new_lam), float(click)
     return RepumpResult(

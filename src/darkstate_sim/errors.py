@@ -13,14 +13,6 @@ class NegativeTimeError(SimulationError):
     """A propagation time was negative; conditional evolution runs forward only."""
 
 
-class ZeroRateError(SimulationError):
-    """The total emission rate at a jump was negative or not a number."""
-
-
-class EmptyGridError(SimulationError):
-    """An ensemble was requested on an empty time grid."""
-
-
 class ProbabilityRangeError(SimulationError):
     """A computed probability left [0, 1] by more than round-off."""
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -82,6 +83,9 @@ class Parameters:
         for name, square in (("g_a^2 + g_b^2", coupling_sq), ("(kappa - gamma)^2", split_sq)):
             if not math.isfinite(square):
                 raise ValueError(f"rates too large: {name} is not a finite float")
+        # A subnormal Omega^2 loses bits in the Omega^2-scaled projectors.
+        if (self.g_a or self.g_b) and coupling_sq < sys.float_info.min:
+            raise ValueError("rates too small: g_a^2 + g_b^2 is below the smallest normal float")
 
     @property
     def coupling_squared(self) -> float:

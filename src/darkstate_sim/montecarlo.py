@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyGridError, NegativeTimeError, SimulationError, ZeroRateError
+from .errors import NegativeTimeError, SimulationError
 from .model import Parameters, _generator_matrix, _rate_key
 
 # ``conditional_state`` is no longer called here; the name stays importable
@@ -96,7 +96,8 @@ _CHUNK = 16384
 # 1.7x at 61), so the automatic worker count gives each this many chunks or more.
 _CHUNKS_PER_WORKER = 3
 
-_CODE_CAVITY, _CODE_SPON_A, _CODE_SPON_B, _CODE_NONE = 0, 1, 2, -1
+# Channel codes: 0 cavity, 1 and 2 spontaneous from atom a and b, -1 no jump.
+_CODE_CAVITY, _CODE_NONE = 0, -1
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -424,11 +425,12 @@ def _classify(v, total, cavity, atom_a, out) -> np.ndarray:
     which grow in that order.  ``out`` holds two arrays of the rates' shape
     for the thresholds.  A zero total, only at gamma = 0 where both atomic
     rates vanish identically, selects CAVITY: the channel as t -> 0+ (a zero
-    draw), where the 0/0 thresholds are NaN and compare false.  Raises
-    ZeroRateError where the total rate w1 is negative or NaN.
+    draw), where the 0/0 thresholds are NaN and compare false.  The total
+    is a sum of squares times nonnegative rates, so a negative or NaN one is
+    a broken invariant and raises SimulationError.
     """
     if not (total >= 0.0).all():
-        raise ZeroRateError("total emission rate negative or NaN at the jump state")
+        raise SimulationError("total emission rate negative or NaN at the jump state")
     cavity_share, atom_share = out
     with np.errstate(invalid="ignore"):
         np.divide(cavity, total, out=cavity_share)
@@ -516,7 +518,7 @@ def _usable_cpus() -> int:
 def _tally_chunk(params, seed, horizon, grid, job):
     times, codes, _ = simulate_trajectories(params, seed, *job, horizon)
     cavity_times = np.sort(times[codes == _CODE_CAVITY])
-    spon_times = np.sort(times[(codes == _CODE_SPON_A) | (codes == _CODE_SPON_B)])
+    spon_times = np.sort(times[codes > _CODE_CAVITY])
     n_cav = np.searchsorted(cavity_times, grid, side="right").astype(np.int64)
     n_spon = np.searchsorted(spon_times, grid, side="right").astype(np.int64)
     return n_cav, n_spon
@@ -543,7 +545,7 @@ def run_ensemble(
     seed = _check_seed(seed)
     grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if grid.size == 0:
-        raise EmptyGridError("t_grid must contain at least one time")
+        raise ValueError("t_grid must contain at least one time")
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid times must be finite")
     if np.any(grid < 0.0):

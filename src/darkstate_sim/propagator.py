@@ -85,13 +85,6 @@ def _check_range(raw: np.ndarray, names) -> float:
     return worst
 
 
-def _clipped_probability(p: np.ndarray):
-    arr = np.asarray(p, dtype=float)
-    _check_range(arr[np.newaxis], ("probability",))
-    out = np.clip(arr, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 # Keyword arguments of ufunc calls that allocate their result.  A ufunc passed
 # out=None leaves numpy's fast path for scalars, and the closed forms are
 # called at scalar times too, so ``out`` is passed only when there is one.

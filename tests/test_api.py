@@ -9,11 +9,9 @@ PUBLIC_NAMES = {
     # errors
     "SimulationError",
     "DegenerateCouplingError",
-    "EmptyGridError",
     "NegativeTimeError",
     "ProbabilityRangeError",
     "ZeroProbabilityConditionError",
-    "ZeroRateError",
     # result types
     "ProbabilityTriple",
     "EnsembleEstimate",
@@ -46,7 +44,7 @@ def test_public_names():
     names = darkstate_sim.__all__
     assert len(names) == len(set(names))
     assert set(names) == PUBLIC_NAMES | {"__version__"}
-    assert len(PUBLIC_NAMES) == 25
+    assert len(PUBLIC_NAMES) == 23
     for name in names:
         assert getattr(darkstate_sim, name) is not None, name
 

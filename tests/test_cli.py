@@ -372,6 +372,24 @@ class TestErrorHandling:
         assert err == ""
         assert np.isfinite(np.array(_cells(out), dtype=float)).all()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["amplitudes", "--tmax", "0"], "tmax must be positive"),
+            (["trajectories", "--trajectories", "0"], "need at least 1 trajectory"),
+            (["repump", "--rounds", "-1"], "rounds must be nonnegative"),
+            (
+                ["amplitudes", "--ga", "1e-162", "--gb", "1e-162"],
+                "rates too small: g_a^2 + g_b^2 is below the smallest normal float",
+            ),
+        ],
+    )
+    def test_out_of_range_argument_exits_2(self, capsys, argv, message):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_unknown_option_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["probabilities", "--bogus"])

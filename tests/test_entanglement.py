@@ -160,6 +160,37 @@ class TestArrayPaths:
             mixture_asymptotic(fig_params, ts)
 
 
+class TestUnclippedWeights:
+    """The weights that mixture_asymptotic and repump_round form lie in [0, 1] unclipped."""
+
+    TIMES = (0.0, 1e-300, 1e6)
+
+    @pytest.mark.parametrize(
+        "g_a, g_b, gamma", [(0.0, 1.0, 1e-3), (1.0, 0.0, 1e-3), (1.0, 1.0, 0.0), (0.7, 2.1, 4e-3)]
+    )
+    @pytest.mark.parametrize("t", [*TIMES, np.array(TIMES)])
+    def test_asymptotic_weight(self, g_a, g_b, gamma, t):
+        params = Parameters(g_a=g_a, g_b=g_b, kappa=1.0, gamma=gamma)
+        weight = g_b**2 / params.coupling_squared * np.exp(-2.0 * gamma * np.asarray(t))
+        assert np.all((weight >= 0.0) & (weight <= 1.0))
+        # At eta = 0 the mixture's weight is the survival weight itself.
+        lam = mixture_asymptotic(params, t, eta=0.0).lam
+        assert np.asarray(lam).tobytes() == np.asarray(weight).tobytes()
+        lam = mixture_asymptotic(params, t, eta=0.5).lam
+        assert np.all((np.asarray(lam) >= 0.0) & (np.asarray(lam) <= 1.0))
+
+    LAMS = (-0.0, 0.0, 5e-324, 0.5, 1.0)
+
+    @pytest.mark.parametrize("p_detect", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [*LAMS, np.array(LAMS)])
+    def test_repump_weight(self, lam, p_detect):
+        new = repump_round(ConditionedMixture(lam, 0.0), p_detect).mixture.lam
+        assert isinstance(new, np.ndarray if np.ndim(lam) else float)
+        new = np.asarray(new)
+        assert np.all((new >= 0.0) & (new <= 1.0))
+        assert not np.signbit(new).any()
+
+
 class TestRepump:
     def test_three_rounds_reach_target(self):
         mix = ConditionedMixture(0.8325, 0.0)

@@ -8,6 +8,7 @@ from darkstate_sim import (
     Propagator,
     conditional_generator,
     conditional_state,
+    emission_probabilities,
 )
 
 
@@ -57,6 +58,30 @@ class TestParameters:
     def test_large_rates_with_finite_squares_accepted(self):
         p = Parameters(g_a=1e150, g_b=1e150, kappa=1e200, gamma=1e200)
         assert p.coupling_squared == pytest.approx(2e300)
+
+    @pytest.mark.parametrize("g", [1.05e-154, 1e-161, 1e-162])
+    def test_couplings_whose_square_underflows_rejected(self, g):
+        # A subnormal Omega^2 loses bits in the Omega^2-scaled projectors.
+        # Unchecked, P0 is off by 6.8e-8 relative at g = 1e-158, P0(1) reads
+        # 1.0 against 0.998 at 1e-161, and at 1e-162 Omega^2 = 0 is reported
+        # as g_a = g_b = 0.
+        with pytest.raises(ValueError) as info:
+            Parameters(g_a=g, g_b=g, kappa=1.0)
+        assert str(info.value) == (
+            "rates too small: g_a^2 + g_b^2 is below the smallest normal float"
+        )
+
+    def test_smallest_normal_coupling_square_accepted(self):
+        # Omega is about 1.5e-154, so the bright part barely couples to the
+        # cavity and decays like the dark one: P0 = e^{-2 gamma t}.
+        p = Parameters(g_a=1.06e-154, g_b=1.06e-154, kappa=1.0, gamma=1e-3)
+        times = np.array([1.0, 100.0, 3000.0])
+        p0 = emission_probabilities(p, times).p0
+        assert np.max(np.abs(p0 - np.exp(-2.0 * p.gamma * times))) < 1e-14
+
+    def test_one_tiny_coupling_accepted(self):
+        p = Parameters(g_a=1e-160, g_b=1.0, kappa=1.0)
+        assert p.coupling_squared == 1.0
 
     def test_zero_couplings_allowed_but_generator_refuses(self):
         p = Parameters(g_a=0.0, g_b=0.0, kappa=1.0)

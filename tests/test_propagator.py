@@ -439,20 +439,8 @@ def _run_optimized(code: str) -> str:
     return result.stdout
 
 
-def test_range_violation_raises_under_optimize():
-    # The check must not be an assert, which python -O strips.
-    code = (
-        "from darkstate_sim import ProbabilityRangeError\n"
-        "from darkstate_sim.propagator import _clipped_probability\n"
-        "try:\n"
-        "    _clipped_probability(1.5)\n"
-        "except ProbabilityRangeError as exc:\n"
-        "    print('raised:', exc)\n"
-    )
-    assert _run_optimized(code).startswith("raised: probability out of range by 0.5")
-
-
 def test_budget_range_violation_raises_under_optimize():
+    # The check must not be an assert, which python -O strips.
     code = (
         "from darkstate_sim import Parameters, ProbabilityRangeError, propagator\n"
         "propagator.cavity_emission_saturation = lambda params: 2.0\n"
