@@ -142,7 +142,8 @@ def cmd_repump(args):
     if args.lambda0 is None:
         mixture = mixture_asymptotic(params, 0.0)
     else:
-        mixture = ConditionedMixture(lam=args.lambda0, t=0.0)
+        # + 0.0 maps -0.0 to 0.0, as repump_round does, so round 0 writes 0.
+        mixture = ConditionedMixture(lam=args.lambda0 + 0.0, t=0.0)
     rows = [(0, 0.0, mixture.lam, relative_entropy_of_entanglement(mixture))]
     for round_index in range(1, args.rounds + 1):
         result = repump_round(mixture, args.p_detect)
@@ -191,7 +192,7 @@ _COMMANDS = (
     ("repump", "repump-and-wait purification ledger", cmd_repump, _RATES + (
         _ETA,
         ("--lambda0", dict(type=float, default=None,
-                           help="initial dark-pair weight (default: post-transient onset value)")),
+                           help="initial dark-pair weight (default: asymptotic weight at t = 0)")),
         ("--p-detect", dict(type=float, default=0.9,
                             help="repump click probability for the ground component (default 0.9)")),
         ("--rounds", dict(type=int, default=5, help="number of rounds (default 5)")),

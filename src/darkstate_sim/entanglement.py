@@ -21,7 +21,6 @@ nothing to condition on, and the mixture raises ZeroProbabilityConditionError.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -38,32 +37,34 @@ class ConditionedMixture:
     t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, dtype=float)
-        if not np.all((lam >= 0.0) & (lam <= 1.0)):  # also rejects NaN
+        lam = np.asarray(self.lam, dtype=float)[()]  # a numpy scalar at 0-d
+        if not ((lam >= 0.0) & (lam <= 1.0)).all():  # also rejects NaN
             raise ValueError(f"mixture weight must be in [0, 1], got {self.lam!r}")
 
 
+def _probability(value, name: str) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:  # also rejects NaN and infinities
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
 def _resolve_eta(params: Parameters, eta: float | None) -> float:
-    if eta is None:
-        return params.eta
-    eta = float(eta)
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"detector efficiency must be in [0, 1], got {eta!r}")
-    return eta
+    return params.eta if eta is None else _probability(eta, "detector efficiency")
 
 
-def _mixture(p0, p_cav, eta: float, t) -> ConditionedMixture:
-    """The mixture of weight lam = P0 / (1 - eta P_cav), the no-click probability."""
-    no_click = 1.0 - eta * np.asarray(p_cav)
-    if np.any(no_click <= 0.0):
+def _mixture(p0, p_cav, eta: float, times) -> ConditionedMixture:
+    """The mixture of weight lam = P0 / (1 - eta P_cav), for P0 and P_cav in [0, 1]."""
+    no_click = 1.0 - eta * p_cav
+    if np.count_nonzero(no_click <= 0.0):
         raise ZeroProbabilityConditionError(
             "no click has probability zero (as at gamma = 0, g_b = 0, eta = 1): "
             "the conditioned state is undefined"
         )
-    lam = np.clip(p0 / no_click, 0.0, 1.0)
+    lam = np.minimum(p0 / no_click, 1.0)  # the clip to [0, 1], as P0 >= 0 and no_click > 0
     if lam.ndim == 0:
-        return ConditionedMixture(lam=float(lam), t=float(t))
-    return ConditionedMixture(lam=lam, t=np.asarray(t, dtype=float))
+        return ConditionedMixture(lam=float(lam), t=float(times))
+    return ConditionedMixture(lam=lam, t=times)
 
 
 def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
@@ -87,8 +88,8 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
     eta = _resolve_eta(params, eta)
     saturation = cavity_emission_saturation(params)
     weight = params.g_b**2 / params.coupling_squared
-    p0 = weight * np.exp(-2.0 * params.gamma * _check_times(t))
-    return _mixture(p0, saturation, eta, t)
+    times = _check_times(t)
+    return _mixture(weight * np.exp(-2.0 * params.gamma * times), saturation, eta, times)
 
 
 def relative_entropy_of_entanglement(mixture: ConditionedMixture):
@@ -96,7 +97,7 @@ def relative_entropy_of_entanglement(mixture: ConditionedMixture):
 
     With 0 log 0 = 0 the formula gives E(0) = 0 and E(1) = 1 exactly.
     """
-    lam = np.asarray(mixture.lam, dtype=float)
+    lam = np.asarray(mixture.lam, dtype=float)[()]
     first = (lam - 2.0) * np.log2(1.0 - 0.5 * lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         second = np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0)
@@ -121,17 +122,12 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     mixture.  The denominator rounds to at least lam, so the new weight lies
     in [0, 1] with no clip; a zero denominator (lam = 0, p_detect = 1) gives 0.
     """
-    p_detect = float(p_detect)
-    if not (math.isfinite(p_detect) and 0.0 <= p_detect <= 1.0):
-        raise ValueError(f"repump detection probability must be in [0, 1], got {p_detect!r}")
-    lam = np.asarray(mixture.lam, dtype=float)
+    p_detect = _probability(p_detect, "repump detection probability")
+    lam = np.asarray(mixture.lam, dtype=float)[()]
     click = (1.0 - lam) * p_detect
     denominator = lam + (1.0 - lam) * (1.0 - p_detect)
     # + 0.0 maps a -0.0 weight to 0.0, so that the CSV writes 0, not -0.
     new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0) + 0.0
     if new_lam.ndim == 0:
         new_lam, click = float(new_lam), float(click)
-    return RepumpResult(
-        mixture=ConditionedMixture(lam=new_lam, t=mixture.t),
-        click_probability=click,
-    )
+    return RepumpResult(ConditionedMixture(lam=new_lam, t=mixture.t), click)

@@ -59,27 +59,28 @@ from .model import (
 _PROB_TOL = 1e-10
 
 
-def _check_times(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    # One reduction on valid times; .all() skips np.all's dispatch (every call).
-    if not ((arr >= 0.0) & (arr < np.inf)).all():
-        if not (arr >= 0.0).all():  # also rejects NaN
+def _check_times(t):
+    # [()] makes a 0-d array a numpy scalar and leaves any other array whole, so
+    # a scalar t runs the array code in numpy's cheaper scalar arithmetic.
+    times = np.asarray(t, dtype=float)[()]
+    if not ((times >= 0.0) & (times < np.inf)).all():
+        if not (times >= 0.0).all():  # also rejects NaN
             raise NegativeTimeError("conditional evolution requires t >= 0")
         raise ValueError("conditional evolution requires a finite t")
-    return arr
+    return times
 
 
-def _check_range(raw: np.ndarray, names) -> float:
-    """The largest excess outside [0, 1] over ``raw``, whose rows are ``names``.
+def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> float:
+    """The largest excess |raw - clipped| outside [0, 1] over ``raw``, whose rows are ``names``.
 
     Raises ProbabilityRangeError, naming the first row at fault, when the
     excess is not below _PROB_TOL (NaN included).
     """
-    excess = np.maximum(-raw, raw - 1.0)
-    worst = float(np.max(excess, initial=0.0))
+    excess = np.abs(raw - clipped)
+    worst = float(excess.max(initial=0.0))
     if not worst < _PROB_TOL:
         for name, row in zip(names, excess.reshape(len(names), -1)):
-            row_worst = float(np.max(row, initial=0.0))
+            row_worst = float(row.max(initial=0.0))
             if not row_worst < _PROB_TOL:
                 raise ProbabilityRangeError(f"{name} out of range by {row_worst}")
     return worst
@@ -91,12 +92,17 @@ def _check_range(raw: np.ndarray, names) -> float:
 _NO_OUT = ({}, {}, {})
 
 
+def _scaled(rate: float, times, into: dict):
+    # With no buffer, the * operator: the same ufunc on an array, cheaper on a numpy scalar.
+    return np.multiply(rate, times, **into) if into else rate * times
+
+
 def _split_factors(params: Parameters, times: np.ndarray, out=None):
     """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring).
 
     ``out``, when given, is an array of shape (3,) + t.shape that receives
     them, row by row, with no array allocated; otherwise they are new arrays
-    (scalars at a 0-d t).  Each factor starts as a ufunc result and is
+    (numpy scalars at a scalar t).  Each factor starts as a ufunc result and is
     finished in place, so both paths do the same operations in the same
     order.
     """
@@ -105,8 +111,8 @@ def _split_factors(params: Parameters, times: np.ndarray, out=None):
     split_sq = _split_squared(params)
     if split_sq > 0.0:
         split = math.sqrt(split_sq)
-        envelope = np.exp(np.multiply(-0.5 * mean_decay, times, **into_cos), **into_cos)
-        phase = np.multiply(0.5 * split, times, **into_sin)
+        envelope = np.exp(_scaled(-0.5 * mean_decay, times, into_cos), **into_cos)
+        phase = _scaled(0.5 * split, times, into_sin)
         cosine = np.cos(phase, **into_e0)
         sin_factor = np.sin(phase, **into_sin)
         sin_factor *= envelope
@@ -114,8 +120,8 @@ def _split_factors(params: Parameters, times: np.ndarray, out=None):
         envelope *= cosine
         cos_factor = envelope
     elif split_sq == 0.0:
-        cos_factor = np.exp(np.multiply(-0.5 * mean_decay, times, **into_cos), **into_cos)
-        sin_factor = np.multiply(0.5, times, **into_sin)
+        cos_factor = np.exp(_scaled(-0.5 * mean_decay, times, into_cos), **into_cos)
+        sin_factor = _scaled(0.5, times, into_sin)
         sin_factor *= cos_factor
     else:
         # Overdamped: bright rates lambda_+- = (a +- sigma)/2, with
@@ -123,14 +129,14 @@ def _split_factors(params: Parameters, times: np.ndarray, out=None):
         # s = (e^{-lambda_- t} - e^{-lambda_+ t})/(2 sigma).
         sigma = math.sqrt(-split_sq)
         slow = (params.kappa * params.gamma + params.coupling_squared) / (0.5 * (mean_decay + sigma))
-        sin_factor = np.expm1(np.multiply(-sigma, times, **into_sin), **into_sin)  # the gap
-        cos_factor = np.exp(np.multiply(-slow, times, **into_cos), **into_cos)  # the slow decay
+        sin_factor = np.expm1(_scaled(-sigma, times, into_sin), **into_sin)  # the gap
+        cos_factor = np.exp(_scaled(-slow, times, into_cos), **into_cos)  # the slow decay
         half_gap = np.multiply(0.5, sin_factor, **into_e0)
         half_gap += 1.0
         sin_factor *= cos_factor
         sin_factor /= -2.0 * sigma
         cos_factor *= half_gap
-    e0 = np.exp(np.multiply(-params.gamma, times, **into_e0), **into_e0)
+    e0 = np.exp(_scaled(-params.gamma, times, into_e0), **into_e0)
     return e0, cos_factor, sin_factor
 
 
@@ -140,7 +146,6 @@ def _projectors(params: Parameters) -> np.ndarray:
     Left unnormalized so that D + P = I holds exactly at t = 0.  The array
     is shared by every call on the same four rates, so it is read-only.
     """
-    _require_coupling(params)
     return _rate_projectors(*_rate_key(params))
 
 
@@ -149,6 +154,7 @@ def _projectors(params: Parameters) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> np.ndarray:
     params = Parameters(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma)
+    _require_coupling(params)  # an exception is not cached, so every call checks
     dark = np.array([0.0, g_b, -g_a])
     bright = np.array([0.0, g_a, g_b])
     plane = np.outer(bright, bright)
@@ -180,9 +186,10 @@ def _propagate(params: Parameters, factors, basis: np.ndarray, out=None) -> np.n
     """
     e0, cos_factor, sin_factor = factors
     into_total, into_term = _NO_OUT[:2] if out is None else ({"out": array} for array in out)
-    total = np.multiply.outer(basis[0], e0, **into_total)
-    total += np.multiply.outer(basis[1], cos_factor, **into_term)
-    total += np.multiply.outer(basis[2], sin_factor, **into_term)
+    basis = basis.reshape(basis.shape + (1,) * e0.ndim)  # an outer product by broadcasting
+    total = np.multiply(basis[0], e0, **into_total)
+    total += np.multiply(basis[1], cos_factor, **into_term)
+    total += np.multiply(basis[2], sin_factor, **into_term)
     total /= params.coupling_squared
     return total
 
@@ -238,11 +245,9 @@ class Propagator:
 
     ``method`` is a read-only label of the branch of ``_split_factors``
     taken: "series" when the generator is defective (S^2 = 0 exactly),
-    "spectral" otherwise.  Both evaluate the same closed form.  "series"
-    names a Taylor fallback that the closed form replaced; the label keeps
-    it because the benchmark's ``propagator.matrix_us_per_point.series``
-    metric and its path counts are keyed on it, so it is renamed together
-    with the benchmark.  Instances are immutable after construction and safe
+    "spectral" otherwise.  "series" names a Taylor fallback that the closed
+    form replaced; the benchmark's per-path metrics are keyed on the label,
+    so it is renamed with the benchmark.  Instances are immutable and safe
     to share across threads.
     """
 
@@ -262,7 +267,7 @@ class Propagator:
         """U(t) as a real array of shape t.shape + (3, 3)."""
         params = self.generator.params
         entries = _propagate(params, _split_factors(params, _check_times(t)), self._basis)
-        return np.ascontiguousarray(np.moveaxis(entries, (0, 1), (-2, -1)))
+        return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 
 def conditional_state(params: Parameters, t) -> np.ndarray:
@@ -274,7 +279,7 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     Returns real amplitudes of shape t.shape + (3,).
     """
     amps = _amplitudes(params, _split_factors(params, _check_times(t)))
-    return np.ascontiguousarray(np.moveaxis(amps, 0, -1))
+    return np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))
 
 
 def cavity_emission_saturation(params: Parameters) -> float:
@@ -284,11 +289,9 @@ def cavity_emission_saturation(params: Parameters) -> float:
     t -> infinity limit of the cavity emission probability.
     """
     _require_coupling(params)
-    g_sq = params.coupling_squared
     mean_decay = params.kappa + params.gamma
-    return float(
-        params.kappa * params.g_a**2 / (mean_decay * (g_sq + params.kappa * params.gamma))
-    )
+    bright_rates = params.coupling_squared + params.kappa * params.gamma  # lambda_+ lambda_-
+    return params.kappa * params.g_a**2 / (mean_decay * bright_rates)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -324,19 +327,17 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     factors = _split_factors(params, times)
     _, cos_factor, sin_factor = factors
     mean_decay = params.kappa + params.gamma
-    cavity, atom_a, atom_b = _amplitudes(params, factors) ** 2
-    bracket = (
-        1.0
-        - np.exp(-mean_decay * times)
-        - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
-    )
+    cavity, atom_a, atom_b = np.square(_amplitudes(params, factors))
+    decay = np.exp(-mean_decay * times)
+    bracket = 1.0 - decay - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     raw = np.empty((3,) + times.shape)
     raw[0] = cavity + atom_a + atom_b
     raw[1] = cavity_emission_saturation(params) * bracket
-    p0, p_cav = np.clip(raw[:2], 0.0, 1.0)
+    p0, p_cav = raw[:2].clip(0.0, 1.0)
     raw[2] = 1.0 - p0 - p_cav
-    _check_range(raw, ("P0", "P_cav", "P_spon"))
-    p_spon = np.clip(raw[2], 0.0, 1.0)
+    clipped = raw.clip(0.0, 1.0)  # rows 0 and 1 as above
+    _check_range(raw, clipped, ("P0", "P_cav", "P_spon"))
+    p0, p_cav, p_spon = clipped
     if times.ndim == 0:
         times, p0, p_cav, p_spon = float(times), float(p0), float(p_cav), float(p_spon)
     return ProbabilityTriple(t=times, p0=p0, p_cav=p_cav, p_spon=p_spon)

@@ -3,7 +3,11 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import darkstate_sim
+from conftest import INVERSION_REGIMES
 
 PUBLIC_NAMES = {
     # errors
@@ -76,3 +80,57 @@ def test_bench_harness_runs_round_zero_traced(tmp_path, monkeypatch):
                   "propagator.matrix", "propagator.build", "model.conditional_generator",
                   "entanglement.mixture_at", "entanglement.mixture_asymptotic", "cli.main"):
         assert layer in names, layer
+
+
+# The scalar/array contract: every closed form runs one code path at every
+# shape of t, so a scalar call returns a Python float (a (3,) array for the
+# state) whose bits, sign of zero included, are those of the matching element
+# of an array call.
+CONTRACT_TIMES = (0.0, -0.0, 1e-300, 1.0, "horizon")
+CONTRACT_ETA = 0.8
+
+
+def _budget(params, t):
+    triple = darkstate_sim.emission_probabilities(params, t)
+    return triple.t, triple.p0, triple.p_cav, triple.p_spon
+
+
+def _state(params, t):
+    return (darkstate_sim.conditional_state(params, t),)
+
+
+def _mixture(params, t):
+    mixture = darkstate_sim.mixture_at(params, t, eta=CONTRACT_ETA)
+    return mixture.t, mixture.lam
+
+
+def _asymptotic(params, t):
+    mixture = darkstate_sim.mixture_asymptotic(params, t, eta=CONTRACT_ETA)
+    return mixture.t, mixture.lam
+
+
+def _entropy(params, t):
+    mixture = darkstate_sim.mixture_at(params, t, eta=CONTRACT_ETA)
+    return (darkstate_sim.relative_entropy_of_entanglement(mixture),)
+
+
+def _repump(params, t):
+    result = darkstate_sim.repump_round(darkstate_sim.mixture_at(params, t, eta=CONTRACT_ETA), 0.9)
+    return result.mixture.t, result.mixture.lam, result.click_probability
+
+
+@pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+@pytest.mark.parametrize("closed_form", [_budget, _state, _mixture, _asymptotic, _entropy, _repump])
+def test_scalar_call_is_the_array_element_bit_for_bit(closed_form, name):
+    params = INVERSION_REGIMES[name]
+    horizon = darkstate_sim.default_horizon(params)
+    times = [horizon if t == "horizon" else t for t in CONTRACT_TIMES]
+    arrays = closed_form(params, np.array(times))
+    for i, t in enumerate(times):
+        for scalar, array in zip(closed_form(params, t), arrays):
+            element = array[i]
+            if isinstance(scalar, np.ndarray):
+                assert scalar.shape == element.shape == (3,)
+            else:
+                assert type(scalar) is float, (t, type(scalar))
+            assert np.asarray(scalar).tobytes() == np.asarray(element).tobytes(), (t, scalar, element)

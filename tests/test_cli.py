@@ -332,6 +332,11 @@ class TestRepumpCommand:
         _, rows = _parse_csv(out)
         assert rows[-1, 2] == pytest.approx(0.9997988392725787, abs=1e-9)
 
+    def test_negative_zero_initial_weight_writes_zero(self, capsys):
+        code, out, _ = _run(capsys, ["repump", "--lambda0", "-0.0", "--rounds", "2"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0,0,0", "1,0.9,0,0", "2,0.9,0,0"]
+
 
 class TestErrorHandling:
     @pytest.mark.parametrize("command", SUBCOMMANDS)
