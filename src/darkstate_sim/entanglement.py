@@ -42,6 +42,13 @@ class ConditionedMixture:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.lam!r}")
 
 
+def _built(lam, t) -> ConditionedMixture:
+    """A mixture whose weight lies in [0, 1] by construction, built without the check."""
+    mixture = object.__new__(ConditionedMixture)
+    mixture.__dict__.update(lam=lam, t=t)
+    return mixture
+
+
 def _probability(value, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:  # also rejects NaN and infinities
@@ -62,9 +69,7 @@ def _mixture(p0, p_cav, eta: float, times) -> ConditionedMixture:
             "the conditioned state is undefined"
         )
     lam = np.minimum(p0 / no_click, 1.0)  # the clip to [0, 1], as P0 >= 0 and no_click > 0
-    if lam.ndim == 0:
-        return ConditionedMixture(lam=float(lam), t=float(times))
-    return ConditionedMixture(lam=lam, t=times)
+    return _built(float(lam), float(times)) if lam.ndim == 0 else _built(lam, times)
 
 
 def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
@@ -130,4 +135,4 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0) + 0.0
     if new_lam.ndim == 0:
         new_lam, click = float(new_lam), float(click)
-    return RepumpResult(ConditionedMixture(lam=new_lam, t=mixture.t), click)
+    return RepumpResult(_built(new_lam, mixture.t), click)

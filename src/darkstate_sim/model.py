@@ -105,11 +105,6 @@ def _rate_key(params: Parameters) -> tuple:
     return params.g_a + 0.0, params.g_b + 0.0, params.kappa + 0.0, params.gamma + 0.0
 
 
-def _split_squared(params: Parameters) -> float:
-    """S^2 = 4(g_a^2+g_b^2) - (kappa-gamma)^2: > 0 oscillatory, < 0 overdamped."""
-    return 4.0 * params.coupling_squared - (params.kappa - params.gamma) ** 2
-
-
 def _generator_matrix(params: Parameters) -> np.ndarray:
     """The real 3x3 generator M of the no-detection evolution exp(-M t)."""
     g_a, g_b = params.g_a, params.g_b

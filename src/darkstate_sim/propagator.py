@@ -30,11 +30,12 @@ Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0
 and P_cav, forms P_spon = 1 - P0 - P_cav from the clipped values, and then
 checks all three unclipped quantities in one pass: the largest excess
 outside [0, 1] is computed once, and past round-off (or on NaN)
-ProbabilityRangeError names the quantity and its excess.
+ProbabilityRangeError names the quantity and its excess.  A scalar time
+runs that clip and check on Python floats, to the same results and messages.
 
-The projectors depend only on the four rates, so ``_projectors`` builds them
-once per rate set (a bounded cache keyed on (g_a, g_b, kappa, gamma), shared
-by every eta) and hands out one read-only array to every caller and thread.
+The projectors, and all else the closed forms read from the four rates, are
+built once per rate set into a ``_Rates`` record (a bounded cache keyed on
+(g_a, g_b, kappa, gamma), shared by every eta), read-only for every thread.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +54,11 @@ from .model import (
     _generator_matrix,
     _rate_key,
     _require_coupling,
-    _split_squared,
     conditional_generator,
 )
 
 _PROB_TOL = 1e-10
+_BUDGET_NAMES = ("P0", "P_cav", "P_spon")
 
 
 def _check_times(t):
@@ -70,20 +72,78 @@ def _check_times(t):
     return times
 
 
-def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> float:
-    """The largest excess |raw - clipped| outside [0, 1] over ``raw``, whose rows are ``names``.
+def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> None:
+    """Checks the excess |raw - clipped| outside [0, 1] over ``raw``, whose rows are ``names``.
 
     Raises ProbabilityRangeError, naming the first row at fault, when the
-    excess is not below _PROB_TOL (NaN included).
+    largest excess is not below _PROB_TOL (NaN included).
     """
     excess = np.abs(raw - clipped)
-    worst = float(excess.max(initial=0.0))
-    if not worst < _PROB_TOL:
+    if not float(excess.max(initial=0.0)) < _PROB_TOL:
         for name, row in zip(names, excess.reshape(len(names), -1)):
             row_worst = float(row.max(initial=0.0))
             if not row_worst < _PROB_TOL:
                 raise ProbabilityRangeError(f"{name} out of range by {row_worst}")
-    return worst
+
+
+class _Rates(NamedTuple):
+    """What the closed forms read from the four rates, built once per rate set."""
+
+    basis: np.ndarray  # Omega^2 (D, P, Q), stacked, read-only (see _projectors)
+    column: tuple  # row k of column 1 of basis: (D[k, 1], P[k, 1], Q[k, 1]), as floats
+    coupling_squared: float  # Omega^2
+    gamma: float
+    mean_decay: float  # a = kappa + gamma
+    split_squared: float  # S^2 = 4 Omega^2 - (kappa - gamma)^2: > 0 oscillatory, < 0 overdamped
+    split: float  # S, or sigma = sqrt(-S^2) when overdamped
+    slow: float  # the overdamped slow rate lambda_- = (kappa gamma + Omega^2) / lambda_+
+
+
+def _rates(params: Parameters) -> _Rates:
+    return _rate_projectors(*_rate_key(params))
+
+
+def _projectors(params: Parameters) -> np.ndarray:
+    """Omega^2 (D, P, Q), stacked, for U(t) = e0 D + c P + s Q.
+
+    Left unnormalized so that D + P = I holds exactly at t = 0.  The array
+    is shared by every call on the same four rates, so it is read-only.
+    """
+    return _rates(params).basis
+
+
+# Bounded so that a sweep over many rate sets cannot grow it without limit;
+# 128 holds every rate set a CLI run or a benchmark round cycles through.
+@functools.lru_cache(maxsize=128)
+def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> _Rates:
+    params = Parameters(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma)
+    _require_coupling(params)  # an exception is not cached, so every call checks
+    mean_decay = kappa + gamma
+    dark = np.array([0.0, g_b, -g_a])
+    bright = np.array([0.0, g_a, g_b])
+    plane = np.outer(bright, bright)
+    plane[0, 0] = params.coupling_squared  # the cavity mode
+    # Q grows like Omega^3 and overflows long before the squares that
+    # Parameters checks (from g_a of about 4.5e102 at g_b = kappa = 1).
+    with np.errstate(over="ignore", invalid="ignore"):
+        sine = mean_decay * plane - 2.0 * _generator_matrix(params) @ plane
+    if not np.isfinite(sine).all():
+        raise ValueError(
+            f"rates too large: Q = 2(a/2 - M)P is not finite for g_a={g_a!r}, "
+            f"g_b={g_b!r}, kappa={kappa!r}, gamma={gamma!r}"
+        )
+    basis = np.stack([np.outer(dark, dark), plane, sine])
+    basis.setflags(write=False)
+    split_sq = 4.0 * params.coupling_squared - (kappa - gamma) ** 2
+    split = math.sqrt(abs(split_sq))
+    slow = (kappa * gamma + params.coupling_squared) / (0.5 * (mean_decay + split))
+    column = tuple(map(tuple, basis[:, :, 1].T.tolist()))
+    return _Rates(basis, column, params.coupling_squared, gamma, mean_decay, split_sq, split, slow)
+
+
+def _clip(value: float) -> float:
+    """``ndarray.clip(0.0, 1.0)`` on one float: NaN and -0.0 pass through."""
+    return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
 # Keyword arguments of ufunc calls that allocate their result.  A ufunc passed
@@ -97,7 +157,7 @@ def _scaled(rate: float, times, into: dict):
     return np.multiply(rate, times, **into) if into else rate * times
 
 
-def _split_factors(params: Parameters, times: np.ndarray, out=None):
+def _split_factors(rates: _Rates, times: np.ndarray, out=None):
     """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring).
 
     ``out``, when given, is an array of shape (3,) + t.shape that receives
@@ -107,99 +167,53 @@ def _split_factors(params: Parameters, times: np.ndarray, out=None):
     order.
     """
     into_e0, into_cos, into_sin = _NO_OUT if out is None else ({"out": row} for row in out)
-    mean_decay = params.kappa + params.gamma
-    split_sq = _split_squared(params)
-    if split_sq > 0.0:
-        split = math.sqrt(split_sq)
-        envelope = np.exp(_scaled(-0.5 * mean_decay, times, into_cos), **into_cos)
-        phase = _scaled(0.5 * split, times, into_sin)
+    if rates.split_squared > 0.0:
+        envelope = np.exp(_scaled(-0.5 * rates.mean_decay, times, into_cos), **into_cos)
+        phase = _scaled(0.5 * rates.split, times, into_sin)
         cosine = np.cos(phase, **into_e0)
         sin_factor = np.sin(phase, **into_sin)
         sin_factor *= envelope
-        sin_factor /= split
+        sin_factor /= rates.split
         envelope *= cosine
         cos_factor = envelope
-    elif split_sq == 0.0:
-        cos_factor = np.exp(_scaled(-0.5 * mean_decay, times, into_cos), **into_cos)
+    elif rates.split_squared == 0.0:
+        cos_factor = np.exp(_scaled(-0.5 * rates.mean_decay, times, into_cos), **into_cos)
         sin_factor = _scaled(0.5, times, into_sin)
         sin_factor *= cos_factor
     else:
         # Overdamped: bright rates lambda_+- = (a +- sigma)/2, with
         # c = (e^{-lambda_- t} + e^{-lambda_+ t})/2 and
         # s = (e^{-lambda_- t} - e^{-lambda_+ t})/(2 sigma).
-        sigma = math.sqrt(-split_sq)
-        slow = (params.kappa * params.gamma + params.coupling_squared) / (0.5 * (mean_decay + sigma))
-        sin_factor = np.expm1(_scaled(-sigma, times, into_sin), **into_sin)  # the gap
-        cos_factor = np.exp(_scaled(-slow, times, into_cos), **into_cos)  # the slow decay
+        sin_factor = np.expm1(_scaled(-rates.split, times, into_sin), **into_sin)  # the gap
+        cos_factor = np.exp(_scaled(-rates.slow, times, into_cos), **into_cos)  # the slow decay
         half_gap = np.multiply(0.5, sin_factor, **into_e0)
         half_gap += 1.0
         sin_factor *= cos_factor
-        sin_factor /= -2.0 * sigma
+        sin_factor /= -2.0 * rates.split
         cos_factor *= half_gap
-    e0 = np.exp(_scaled(-params.gamma, times, into_e0), **into_e0)
+    e0 = np.exp(_scaled(-rates.gamma, times, into_e0), **into_e0)
     return e0, cos_factor, sin_factor
 
 
-def _projectors(params: Parameters) -> np.ndarray:
-    """Omega^2 (D, P, Q), stacked, for U(t) = e0 D + c P + s Q.
-
-    Left unnormalized so that D + P = I holds exactly at t = 0.  The array
-    is shared by every call on the same four rates, so it is read-only.
-    """
-    return _rate_projectors(*_rate_key(params))
-
-
-# Bounded so that a sweep over many rate sets cannot grow it without limit;
-# 128 holds every rate set a CLI run or a benchmark round cycles through.
-@functools.lru_cache(maxsize=128)
-def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> np.ndarray:
-    params = Parameters(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma)
-    _require_coupling(params)  # an exception is not cached, so every call checks
-    dark = np.array([0.0, g_b, -g_a])
-    bright = np.array([0.0, g_a, g_b])
-    plane = np.outer(bright, bright)
-    plane[0, 0] = params.coupling_squared  # the cavity mode
-    # Q grows like Omega^3 and overflows long before the squares that
-    # Parameters checks (from g_a of about 4.5e102 at g_b = kappa = 1).
-    with np.errstate(over="ignore", invalid="ignore"):
-        sine = (kappa + gamma) * plane - 2.0 * _generator_matrix(params) @ plane
-    if not np.isfinite(sine).all():
-        raise ValueError(
-            f"rates too large: Q = 2(a/2 - M)P is not finite for g_a={g_a!r}, "
-            f"g_b={g_b!r}, kappa={kappa!r}, gamma={gamma!r}"
-        )
-    out = np.stack([np.outer(dark, dark), plane, sine])
-    out.setflags(write=False)
-    return out
-
-
-def _propagate(params: Parameters, factors, basis: np.ndarray, out=None) -> np.ndarray:
-    """e0 D + c P + s Q from (e0, c, s), component-major: basis.shape[1:] + t.shape.
-
-    ``basis`` stacks entries of ``_projectors`` on its first axis (all of it,
-    or a column), so each entry comes back as one contiguous array over the
-    times.  Elementwise, not a matrix product, so that each time's result
-    does not depend on how many times are evaluated together.  ``out``, when
-    given, is a pair of arrays of the result's shape: the result is
-    accumulated in the first, and the second holds each product before it
-    is added.
-    """
-    e0, cos_factor, sin_factor = factors
-    into_total, into_term = _NO_OUT[:2] if out is None else ({"out": array} for array in out)
-    basis = basis.reshape(basis.shape + (1,) * e0.ndim)  # an outer product by broadcasting
-    total = np.multiply(basis[0], e0, **into_total)
-    total += np.multiply(basis[1], cos_factor, **into_term)
-    total += np.multiply(basis[2], sin_factor, **into_term)
-    total /= params.coupling_squared
-    return total
-
-
-def _amplitudes(params: Parameters, factors, out=None) -> np.ndarray:
+def _amplitudes(rates: _Rates, factors, out=None) -> np.ndarray:
     """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t).
 
-    ``out`` is the pair of (3,) + t.shape buffers of ``_propagate``.
+    Shape (3,) + t.shape; row k is (d e0 + p c + q s) / Omega^2 for (d, p, q)
+    row k of ``rates.column``, the operations of ``Propagator.matrix`` in its
+    order, so the bits match.  ``out``, when given, is a pair of (3,) +
+    t.shape arrays: the rows are formed in the first, each product in the second.
     """
-    return _propagate(params, factors, _projectors(params)[:, :, 1], out)
+    e0, cos_factor, sin_factor = factors
+    if out is None:
+        rows = [(d * e0 + p * cos_factor + q * sin_factor) / rates.coupling_squared for d, p, q in rates.column]
+        return np.array(rows)
+    rows, terms = out
+    for (d, p, q), row, term in zip(rates.column, rows, terms):
+        np.multiply(d, e0, out=row)
+        row += np.multiply(p, cos_factor, out=term)
+        row += np.multiply(q, sin_factor, out=term)
+        row /= rates.coupling_squared
+    return rows
 
 
 # Rows of a _survival_kernel buffer: the amplitudes, left there for the
@@ -220,13 +234,14 @@ def _survival_kernel(params: Parameters):
     array (allocated when not given), and returns views of it; rows 0 to 2
     then hold the amplitudes (c_100, c_010, c_001).
     """
+    rates = _rates(params)
     kappa2, gamma2 = 2.0 * params.kappa, 2.0 * params.gamma
 
     def kernel(times: np.ndarray, out=None):
         if out is None:
             out = np.empty((_KERNEL_ROWS,) + times.shape)
-        factors = _split_factors(params, times, out[6:])
-        amplitudes = _amplitudes(params, factors, (out[:3], out[3:6]))
+        factors = _split_factors(rates, times, out[6:])
+        amplitudes = _amplitudes(rates, factors, (out[:3], out[3:6]))
         cavity, atom_a, atom_b = np.square(amplitudes, out=out[3:6])
         p0, w_cav, w1 = factors  # spent: the rates take their rows
         np.add(cavity, atom_a, out=p0)
@@ -253,7 +268,8 @@ class Propagator:
 
     def __init__(self, generator: ConditionalGenerator):
         self.generator = generator
-        self._basis = _projectors(generator.params)
+        self._rates = _rates(generator.params)
+        self._basis = self._rates.basis
 
     @classmethod
     def from_parameters(cls, params: Parameters) -> "Propagator":
@@ -261,12 +277,18 @@ class Propagator:
 
     @property
     def method(self) -> str:
-        return "series" if _split_squared(self.generator.params) == 0.0 else "spectral"
+        return "series" if self._rates.split_squared == 0.0 else "spectral"
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        params = self.generator.params
-        entries = _propagate(params, _split_factors(params, _check_times(t)), self._basis)
+        e0, cos_factor, sin_factor = _split_factors(self._rates, _check_times(t))
+        # An outer product by broadcasting, elementwise, so that each time's
+        # result does not depend on how many times are evaluated together.
+        basis = self._basis.reshape(self._basis.shape + (1,) * e0.ndim)
+        entries = basis[0] * e0
+        entries += basis[1] * cos_factor
+        entries += basis[2] * sin_factor
+        entries /= self._rates.coupling_squared
         return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 
@@ -278,7 +300,8 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     precessing with S/2 (or at the two real bright rates when overdamped).
     Returns real amplitudes of shape t.shape + (3,).
     """
-    amps = _amplitudes(params, _split_factors(params, _check_times(t)))
+    times, rates = _check_times(t), _rates(params)
+    amps = _amplitudes(rates, _split_factors(rates, times))
     return np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))
 
 
@@ -323,21 +346,27 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     so the triple sums to one by construction.  Accepts a scalar or an array
     of times.
     """
-    times = _check_times(t)
-    factors = _split_factors(params, times)
+    times, rates = _check_times(t), _rates(params)
+    factors = _split_factors(rates, times)
     _, cos_factor, sin_factor = factors
-    mean_decay = params.kappa + params.gamma
-    cavity, atom_a, atom_b = np.square(_amplitudes(params, factors))
+    mean_decay = rates.mean_decay
+    cavity, atom_a, atom_b = np.square(_amplitudes(rates, factors))
     decay = np.exp(-mean_decay * times)
     bracket = 1.0 - decay - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
+    p0 = cavity + atom_a + atom_b
+    p_cav = cavity_emission_saturation(params) * bracket
+    if times.ndim == 0:  # the array code below, element for element, on Python floats
+        raw = [float(p0), float(p_cav)]
+        raw.append(1.0 - _clip(raw[0]) - _clip(raw[1]))
+        clipped = [_clip(value) for value in raw]
+        for name, value, bounded in zip(_BUDGET_NAMES, raw, clipped):
+            if not abs(value - bounded) < _PROB_TOL:  # also NaN
+                raise ProbabilityRangeError(f"{name} out of range by {abs(value - bounded)}")
+        return ProbabilityTriple(float(times), *clipped)
     raw = np.empty((3,) + times.shape)
-    raw[0] = cavity + atom_a + atom_b
-    raw[1] = cavity_emission_saturation(params) * bracket
+    raw[:2] = p0, p_cav
     p0, p_cav = raw[:2].clip(0.0, 1.0)
     raw[2] = 1.0 - p0 - p_cav
     clipped = raw.clip(0.0, 1.0)  # rows 0 and 1 as above
-    _check_range(raw, clipped, ("P0", "P_cav", "P_spon"))
-    p0, p_cav, p_spon = clipped
-    if times.ndim == 0:
-        times, p0, p_cav, p_spon = float(times), float(p0), float(p_cav), float(p_spon)
-    return ProbabilityTriple(t=times, p0=p0, p_cav=p_cav, p_spon=p_spon)
+    _check_range(raw, clipped, _BUDGET_NAMES)
+    return ProbabilityTriple(times, *clipped)

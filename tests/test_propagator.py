@@ -453,9 +453,28 @@ def test_budget_range_violation_raises_under_optimize():
 
 
 class TestBudgetRangeCheck:
-    """One pass over the raw (P0, P_cav, P_spon) names the quantity at fault."""
+    """One pass over the raw (P0, P_cav, P_spon) names the quantity at fault.
+
+    A scalar time runs the clip and the range check on Python floats, so every
+    case also checks that a scalar call raises the text of the one-element
+    array call at the same time, or that neither raises.
+    """
 
     TIMES = np.array([0.0, 1.0, 10.0, 50.0])
+
+    @staticmethod
+    def _outcome(params, times):
+        try:
+            emission_probabilities(params, times)
+        except ProbabilityRangeError as error:
+            return str(error)
+        return None
+
+    def _scalar_outcomes(self, params):
+        """The error text (or None) of a scalar call at each of TIMES, checked against the array's."""
+        scalars = [self._outcome(params, float(t)) for t in self.TIMES]
+        assert scalars == [self._outcome(params, np.array([t])) for t in self.TIMES]
+        return scalars
 
     def test_p0(self, fig_params, monkeypatch):
         exact = emission_probabilities(fig_params, self.TIMES)
@@ -464,6 +483,7 @@ class TestBudgetRangeCheck:
         with pytest.raises(ProbabilityRangeError) as info:
             emission_probabilities(fig_params, self.TIMES)
         assert str(info.value) == f"P0 out of range by {4.0 * np.max(exact.p0) - 1.0}"
+        assert self._scalar_outcomes(fig_params) == [f"P0 out of range by {4.0 * p - 1.0}" for p in exact.p0]
 
     def test_p_cav(self, fig_params, monkeypatch):
         exact = emission_probabilities(fig_params, self.TIMES)
@@ -472,6 +492,9 @@ class TestBudgetRangeCheck:
         with pytest.raises(ProbabilityRangeError) as info:
             emission_probabilities(fig_params, self.TIMES)
         assert str(info.value) == f"P_cav out of range by {4.0 * np.max(exact.p_cav) - 1.0}"
+        scalars = self._scalar_outcomes(fig_params)
+        assert scalars[0] is None  # P_cav(0) = 0
+        assert scalars[-1] == f"P_cav out of range by {4.0 * exact.p_cav[-1] - 1.0}"
 
     def test_p_spon(self, fig_params, monkeypatch):
         # P0 and P_cav stay inside [0, 1]; only their complement leaves it.
@@ -484,11 +507,20 @@ class TestBudgetRangeCheck:
             emission_probabilities(fig_params, self.TIMES)
         excess = float(str(info.value).rsplit(" ", 1)[1])
         assert excess == pytest.approx(np.max(exact.p0 + p_cav - 1.0), rel=1e-12)
+        scalars = self._scalar_outcomes(fig_params)
+        assert scalars[0] is None and all(s.startswith("P_spon out of range by ") for s in scalars[1:])
 
     def test_nan_is_out_of_range(self, fig_params, monkeypatch):
         monkeypatch.setattr(propagator, "cavity_emission_saturation", lambda p: float("nan"))
         with pytest.raises(ProbabilityRangeError, match=r"^P_cav out of range by nan"):
             emission_probabilities(fig_params, 1.0)
+        assert self._scalar_outcomes(fig_params) == ["P_cav out of range by nan"] * len(self.TIMES)
+
+    def test_nan_amplitudes(self, fig_params, monkeypatch):
+        # P0 is NaN, and so is P_spon = 1 - P0 - P_cav; the first row at fault is named.
+        original = propagator._amplitudes
+        monkeypatch.setattr(propagator, "_amplitudes", lambda *args: np.nan * original(*args))
+        assert self._scalar_outcomes(fig_params) == ["P0 out of range by nan"] * len(self.TIMES)
 
     def test_empty_times(self, fig_params):
         triple = emission_probabilities(fig_params, np.array([]))
