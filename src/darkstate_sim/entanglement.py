@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ZeroProbabilityConditionError
 from .model import Parameters
-from .propagator import _check_times, cavity_emission_saturation, emission_probabilities
+from .propagator import _as_float, _check_times, _transcendental
+from .propagator import cavity_emission_saturation, emission_probabilities
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,14 +63,16 @@ def _resolve_eta(params: Parameters, eta: float | None) -> float:
 
 def _mixture(p0, p_cav, eta: float, times) -> ConditionedMixture:
     """The mixture of weight lam = P0 / (1 - eta P_cav), for P0 and P_cav in [0, 1]."""
-    no_click = 1.0 - eta * p_cav
-    if np.count_nonzero(no_click <= 0.0):
+    no_click = 1.0 - eta * p_cav  # a float also at an array of times when P_cav is one
+    if no_click <= 0.0 if type(no_click) is float else np.count_nonzero(no_click <= 0.0):
         raise ZeroProbabilityConditionError(
             "no click has probability zero (as at gamma = 0, g_b = 0, eta = 1): "
             "the conditioned state is undefined"
         )
-    lam = np.minimum(p0 / no_click, 1.0)  # the clip to [0, 1], as P0 >= 0 and no_click > 0
-    return _built(float(lam), float(times)) if lam.ndim == 0 else _built(lam, times)
+    lam = p0 / no_click  # clipped to [0, 1] by min(lam, 1), as P0 >= 0 and no_click > 0
+    if type(times) is float:
+        return _built(1.0 if lam > 1.0 else lam, times)  # np.minimum's result, NaN kept
+    return _built(np.minimum(lam, 1.0), times)
 
 
 def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
@@ -94,7 +97,7 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
     saturation = cavity_emission_saturation(params)
     weight = params.g_b**2 / params.coupling_squared
     times = _check_times(t)
-    return _mixture(weight * np.exp(-2.0 * params.gamma * times), saturation, eta, times)
+    return _mixture(weight * _transcendental(np.exp, -2.0 * params.gamma * times), saturation, eta, times)
 
 
 def relative_entropy_of_entanglement(mixture: ConditionedMixture):
@@ -102,12 +105,12 @@ def relative_entropy_of_entanglement(mixture: ConditionedMixture):
 
     With 0 log 0 = 0 the formula gives E(0) = 0 and E(1) = 1 exactly.
     """
-    lam = np.asarray(mixture.lam, dtype=float)[()]
-    first = (lam - 2.0) * np.log2(1.0 - 0.5 * lam)
+    lam = _as_float(mixture.lam)
+    first = (lam - 2.0) * _transcendental(np.log2, 1.0 - 0.5 * lam)
+    if type(lam) is float:
+        return first + ((1.0 - lam) * _transcendental(np.log2, 1.0 - lam) if lam < 1.0 else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        second = np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0)
-    out = first + second
-    return float(out) if out.ndim == 0 else out
+        return first + np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,11 +131,12 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     in [0, 1] with no clip; a zero denominator (lam = 0, p_detect = 1) gives 0.
     """
     p_detect = _probability(p_detect, "repump detection probability")
-    lam = np.asarray(mixture.lam, dtype=float)[()]
+    lam = _as_float(mixture.lam)
     click = (1.0 - lam) * p_detect
     denominator = lam + (1.0 - lam) * (1.0 - p_detect)
-    # + 0.0 maps a -0.0 weight to 0.0, so that the CSV writes 0, not -0.
-    new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0) + 0.0
-    if new_lam.ndim == 0:
-        new_lam, click = float(new_lam), float(click)
+    if type(lam) is float:
+        new_lam = lam / denominator if denominator > 0.0 else 0.0
+    else:
+        new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0)
+    new_lam += 0.0  # maps a -0.0 weight to 0.0, so that the CSV writes 0, not -0
     return RepumpResult(_built(new_lam, mixture.t), click)

@@ -31,7 +31,8 @@ and P_cav, forms P_spon = 1 - P0 - P_cav from the clipped values, and then
 checks all three unclipped quantities in one pass: the largest excess
 outside [0, 1] is computed once, and past round-off (or on NaN)
 ProbabilityRangeError names the quantity and its excess.  A scalar time
-runs that clip and check on Python floats, to the same results and messages.
+runs every closed form on Python floats (numpy only for exp, expm1, cos and
+sin), to the bits and error messages of the matching array element.
 
 The projectors, and all else the closed forms read from the four rates, are
 built once per rate set into a ``_Rates`` record (a bounded cache keyed on
@@ -61,13 +62,19 @@ _PROB_TOL = 1e-10
 _BUDGET_NAMES = ("P0", "P_cav", "P_spon")
 
 
+def _as_float(value):
+    """``value`` as a float array, or as a Python float when it is 0-d."""
+    value = np.asarray(value, dtype=float)
+    return float(value) if value.ndim == 0 else value
+
+
 def _check_times(t):
-    # [()] makes a 0-d array a numpy scalar and leaves any other array whole, so
-    # a scalar t runs the array code in numpy's cheaper scalar arithmetic.
-    times = np.asarray(t, dtype=float)[()]
-    if not ((times >= 0.0) & (times < np.inf)).all():
-        if not (times >= 0.0).all():  # also rejects NaN
-            raise NegativeTimeError("conditional evolution requires t >= 0")
+    times = _as_float(t)
+    # The extremes of the times (NaN if one is NaN); the time itself when scalar.
+    low, high = (times, times) if type(times) is float else (times.min(initial=0.0), times.max(initial=0.0))
+    if not low >= 0.0:  # also rejects NaN
+        raise NegativeTimeError("conditional evolution requires t >= 0")
+    if not high < math.inf:
         raise ValueError("conditional evolution requires a finite t")
     return times
 
@@ -146,74 +153,90 @@ def _clip(value: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
-# Keyword arguments of ufunc calls that allocate their result.  A ufunc passed
-# out=None leaves numpy's fast path for scalars, and the closed forms are
-# called at scalar times too, so ``out`` is passed only when there is one.
+# Keyword arguments of ufunc calls that allocate their result.
 _NO_OUT = ({}, {}, {})
 
 
-def _scaled(rate: float, times, into: dict):
-    # With no buffer, the * operator: the same ufunc on an array, cheaper on a numpy scalar.
+def _scaled(rate, times, into: dict):
+    # With no buffer, the * operator: the same ufunc, called faster, on an array; a float product on a float.
     return np.multiply(rate, times, **into) if into else rate * times
 
 
-def _split_factors(rates: _Rates, times: np.ndarray, out=None):
+def _transcendental(ufunc, x, into: dict = _NO_OUT[0]):
+    """``ufunc(x)`` into ``into``, or a Python float at a float x.
+
+    numpy's loop at every shape, so a float's bits are the array element's (``math``'s are not).
+    """
+    return float(ufunc(x)) if type(x) is float else ufunc(x, **into)
+
+
+def _split_factors(rates: _Rates, times, out=None):
     """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring).
 
-    ``out``, when given, is an array of shape (3,) + t.shape that receives
-    them, row by row, with no array allocated; otherwise they are new arrays
-    (numpy scalars at a scalar t).  Each factor starts as a ufunc result and is
-    finished in place, so both paths do the same operations in the same
+    Python floats at a float t.  ``out``, when given, is an array of shape
+    (3,) + t.shape that receives them, row by row, with no array allocated;
+    otherwise they are new arrays.  Each factor starts as a ufunc result and
+    is finished in place, so every path does the same operations in the same
     order.
     """
     into_e0, into_cos, into_sin = _NO_OUT if out is None else ({"out": row} for row in out)
     if rates.split_squared > 0.0:
-        envelope = np.exp(_scaled(-0.5 * rates.mean_decay, times, into_cos), **into_cos)
+        envelope = _transcendental(np.exp, _scaled(-0.5 * rates.mean_decay, times, into_cos), into_cos)
         phase = _scaled(0.5 * rates.split, times, into_sin)
-        cosine = np.cos(phase, **into_e0)
-        sin_factor = np.sin(phase, **into_sin)
+        cosine = _transcendental(np.cos, phase, into_e0)
+        sin_factor = _transcendental(np.sin, phase, into_sin)
         sin_factor *= envelope
         sin_factor /= rates.split
         envelope *= cosine
         cos_factor = envelope
     elif rates.split_squared == 0.0:
-        cos_factor = np.exp(_scaled(-0.5 * rates.mean_decay, times, into_cos), **into_cos)
+        cos_factor = _transcendental(np.exp, _scaled(-0.5 * rates.mean_decay, times, into_cos), into_cos)
         sin_factor = _scaled(0.5, times, into_sin)
         sin_factor *= cos_factor
     else:
         # Overdamped: bright rates lambda_+- = (a +- sigma)/2, with
         # c = (e^{-lambda_- t} + e^{-lambda_+ t})/2 and
         # s = (e^{-lambda_- t} - e^{-lambda_+ t})/(2 sigma).
-        sin_factor = np.expm1(_scaled(-rates.split, times, into_sin), **into_sin)  # the gap
-        cos_factor = np.exp(_scaled(-rates.slow, times, into_cos), **into_cos)  # the slow decay
-        half_gap = np.multiply(0.5, sin_factor, **into_e0)
+        sin_factor = _transcendental(np.expm1, _scaled(-rates.split, times, into_sin), into_sin)  # the gap
+        cos_factor = _transcendental(np.exp, _scaled(-rates.slow, times, into_cos), into_cos)  # the slow decay
+        half_gap = _scaled(0.5, sin_factor, into_e0)
         half_gap += 1.0
         sin_factor *= cos_factor
         sin_factor /= -2.0 * rates.split
         cos_factor *= half_gap
-    e0 = np.exp(_scaled(-rates.gamma, times, into_e0), **into_e0)
+    e0 = _transcendental(np.exp, _scaled(-rates.gamma, times, into_e0), into_e0)
     return e0, cos_factor, sin_factor
 
 
-def _amplitudes(rates: _Rates, factors, out=None) -> np.ndarray:
-    """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t).
+def _propagate(rates: _Rates, factors, basis: np.ndarray, out=None) -> np.ndarray:
+    """e0 D + c P + s Q over ``basis``, (D, P, Q) or their column 1 stacked: basis.shape[1:] + t.shape.
 
-    Shape (3,) + t.shape; row k is (d e0 + p c + q s) / Omega^2 for (d, p, q)
-    row k of ``rates.column``, the operations of ``Propagator.matrix`` in its
-    order, so the bits match.  ``out``, when given, is a pair of (3,) +
-    t.shape arrays: the rows are formed in the first, each product in the second.
+    Elementwise by broadcasting, so that a time's result does not depend on how
+    many are evaluated together.  ``out``, when given, is a pair of arrays of
+    that shape: the result, and each product before it is added.
     """
     e0, cos_factor, sin_factor = factors
-    if out is None:
-        rows = [(d * e0 + p * cos_factor + q * sin_factor) / rates.coupling_squared for d, p, q in rates.column]
-        return np.array(rows)
-    rows, terms = out
-    for (d, p, q), row, term in zip(rates.column, rows, terms):
-        np.multiply(d, e0, out=row)
-        row += np.multiply(p, cos_factor, out=term)
-        row += np.multiply(q, sin_factor, out=term)
-        row /= rates.coupling_squared
-    return rows
+    into_total, into_term = _NO_OUT[:2] if out is None else ({"out": array} for array in out)
+    basis = basis.reshape(basis.shape + (1,) * getattr(e0, "ndim", 0))
+    total = _scaled(basis[0], e0, into_total)
+    total += _scaled(basis[1], cos_factor, into_term)
+    total += _scaled(basis[2], sin_factor, into_term)
+    total /= rates.coupling_squared
+    return total
+
+
+def _amplitudes(rates: _Rates, factors, out=None):
+    """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t).
+
+    Three Python floats at a float t, row k (d e0 + p c + q s) / Omega^2 for
+    (d, p, q) row k of ``rates.column``; otherwise the (3,) + t.shape array of
+    ``_propagate`` (``out`` is its pair of buffers).  The same operations in
+    the same order, so the bits match.
+    """
+    e0, cos_factor, sin_factor = factors
+    if type(e0) is float:
+        return [(d * e0 + p * cos_factor + q * sin_factor) / rates.coupling_squared for d, p, q in rates.column]
+    return _propagate(rates, factors, rates.basis[:, :, 1], out)
 
 
 # Rows of a _survival_kernel buffer: the amplitudes, left there for the
@@ -281,14 +304,7 @@ class Propagator:
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        e0, cos_factor, sin_factor = _split_factors(self._rates, _check_times(t))
-        # An outer product by broadcasting, elementwise, so that each time's
-        # result does not depend on how many times are evaluated together.
-        basis = self._basis.reshape(self._basis.shape + (1,) * e0.ndim)
-        entries = basis[0] * e0
-        entries += basis[1] * cos_factor
-        entries += basis[2] * sin_factor
-        entries /= self._rates.coupling_squared
+        entries = _propagate(self._rates, _split_factors(self._rates, _check_times(t)), self._basis)
         return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 
@@ -301,7 +317,7 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     Returns real amplitudes of shape t.shape + (3,).
     """
     times, rates = _check_times(t), _rates(params)
-    amps = _amplitudes(rates, _split_factors(rates, times))
+    amps = np.asarray(_amplitudes(rates, _split_factors(rates, times)))
     return np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))
 
 
@@ -350,19 +366,18 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     factors = _split_factors(rates, times)
     _, cos_factor, sin_factor = factors
     mean_decay = rates.mean_decay
-    cavity, atom_a, atom_b = np.square(_amplitudes(rates, factors))
-    decay = np.exp(-mean_decay * times)
+    cavity, atom_a, atom_b = (amplitude * amplitude for amplitude in _amplitudes(rates, factors))
+    decay = _transcendental(np.exp, -mean_decay * times)
     bracket = 1.0 - decay - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     p0 = cavity + atom_a + atom_b
     p_cav = cavity_emission_saturation(params) * bracket
-    if times.ndim == 0:  # the array code below, element for element, on Python floats
-        raw = [float(p0), float(p_cav)]
-        raw.append(1.0 - _clip(raw[0]) - _clip(raw[1]))
+    if type(times) is float:  # the array code below, element for element, on Python floats
+        raw = [p0, p_cav, 1.0 - _clip(p0) - _clip(p_cav)]
         clipped = [_clip(value) for value in raw]
         for name, value, bounded in zip(_BUDGET_NAMES, raw, clipped):
             if not abs(value - bounded) < _PROB_TOL:  # also NaN
                 raise ProbabilityRangeError(f"{name} out of range by {abs(value - bounded)}")
-        return ProbabilityTriple(float(times), *clipped)
+        return ProbabilityTriple(times, *clipped)
     raw = np.empty((3,) + times.shape)
     raw[:2] = p0, p_cav
     p0, p_cav = raw[:2].clip(0.0, 1.0)

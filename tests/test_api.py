@@ -82,11 +82,12 @@ def test_bench_harness_runs_round_zero_traced(tmp_path, monkeypatch):
         assert layer in names, layer
 
 
-# The scalar/array contract: every closed form runs one code path at every
-# shape of t, so a scalar call returns a Python float (a (3,) array for the
-# state) whose bits, sign of zero included, are those of the matching element
-# of an array call.
-CONTRACT_TIMES = (0.0, -0.0, 1e-300, 1.0, "horizon")
+# The scalar/array contract: a scalar t runs the closed forms on Python floats
+# and an array on arrays, the same operations in the same order, so a scalar
+# call returns a Python float (a (3,) array for the state) whose bits, sign of
+# zero included, are those of the matching element of an array call.  The
+# last four times are the other scalar types a time may come as.
+CONTRACT_TIMES = (0.0, -0.0, 1e-300, 1.0, "horizon", 2, np.float32(0.5), np.float64(0.25), np.array(1.5))
 CONTRACT_ETA = 0.8
 
 
@@ -124,7 +125,7 @@ def _repump(params, t):
 def test_scalar_call_is_the_array_element_bit_for_bit(closed_form, name):
     params = INVERSION_REGIMES[name]
     horizon = darkstate_sim.default_horizon(params)
-    times = [horizon if t == "horizon" else t for t in CONTRACT_TIMES]
+    times = [horizon if isinstance(t, str) else t for t in CONTRACT_TIMES]
     arrays = closed_form(params, np.array(times))
     for i, t in enumerate(times):
         for scalar, array in zip(closed_form(params, t), arrays):

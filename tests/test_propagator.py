@@ -84,9 +84,10 @@ class TestPropagatorMatrix:
             lambda p, t: conditional_state(p, t),
             lambda p, t: Propagator.from_parameters(p).matrix(t),
             lambda p, t: emission_probabilities(p, t),
+            lambda p, t: mixture_at(p, t, eta=0.5),
             lambda p, t: mixture_asymptotic(p, t),
         ],
-        ids=["conditional_state", "matrix", "emission_probabilities", "mixture_asymptotic"],
+        ids=["conditional_state", "matrix", "emission_probabilities", "mixture_at", "mixture_asymptotic"],
     )
     @pytest.mark.parametrize("t", [float("nan"), [1.0, float("nan")]], ids=["scalar", "array"])
     def test_nan_time_rejected(self, fig_params, entry, t):
@@ -479,7 +480,7 @@ class TestBudgetRangeCheck:
     def test_p0(self, fig_params, monkeypatch):
         exact = emission_probabilities(fig_params, self.TIMES)
         original = propagator._amplitudes
-        monkeypatch.setattr(propagator, "_amplitudes", lambda *args: 2.0 * original(*args))
+        monkeypatch.setattr(propagator, "_amplitudes", lambda *args: [2.0 * a for a in original(*args)])
         with pytest.raises(ProbabilityRangeError) as info:
             emission_probabilities(fig_params, self.TIMES)
         assert str(info.value) == f"P0 out of range by {4.0 * np.max(exact.p0) - 1.0}"
@@ -519,7 +520,7 @@ class TestBudgetRangeCheck:
     def test_nan_amplitudes(self, fig_params, monkeypatch):
         # P0 is NaN, and so is P_spon = 1 - P0 - P_cav; the first row at fault is named.
         original = propagator._amplitudes
-        monkeypatch.setattr(propagator, "_amplitudes", lambda *args: np.nan * original(*args))
+        monkeypatch.setattr(propagator, "_amplitudes", lambda *args: [np.nan * a for a in original(*args)])
         assert self._scalar_outcomes(fig_params) == ["P0 out of range by nan"] * len(self.TIMES)
 
     def test_empty_times(self, fig_params):
