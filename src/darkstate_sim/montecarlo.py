@@ -51,7 +51,6 @@ import operator
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -562,6 +561,7 @@ def run_ensemble(
     horizon = max(default_horizon(params), float(grid[-1]))
     tally = functools.partial(_tally_chunk, params, seed, horizon, grid)
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here, as serial calls need no pool
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(tally, jobs))
     else:

@@ -96,7 +96,7 @@ def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> None:
 class _Rates(NamedTuple):
     """What the closed forms read from the four rates, built once per rate set."""
 
-    basis: np.ndarray  # Omega^2 (D, P, Q), stacked, read-only (see _projectors)
+    basis: np.ndarray  # Omega^2 (D, P, Q), stacked, read-only; unnormalized, so D + P = I exactly at t = 0
     column: tuple  # row k of column 1 of basis: (D[k, 1], P[k, 1], Q[k, 1]), as floats
     coupling_squared: float  # Omega^2
     gamma: float
@@ -108,15 +108,6 @@ class _Rates(NamedTuple):
 
 def _rates(params: Parameters) -> _Rates:
     return _rate_projectors(*_rate_key(params))
-
-
-def _projectors(params: Parameters) -> np.ndarray:
-    """Omega^2 (D, P, Q), stacked, for U(t) = e0 D + c P + s Q.
-
-    Left unnormalized so that D + P = I holds exactly at t = 0.  The array
-    is shared by every call on the same four rates, so it is read-only.
-    """
-    return _rates(params).basis
 
 
 # Bounded so that a sweep over many rate sets cannot grow it without limit;
@@ -292,7 +283,6 @@ class Propagator:
     def __init__(self, generator: ConditionalGenerator):
         self.generator = generator
         self._rates = _rates(generator.params)
-        self._basis = self._rates.basis
 
     @classmethod
     def from_parameters(cls, params: Parameters) -> "Propagator":
@@ -304,7 +294,7 @@ class Propagator:
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        entries = _propagate(self._rates, _split_factors(self._rates, _check_times(t)), self._basis)
+        entries = _propagate(self._rates, _split_factors(self._rates, _check_times(t)), self._rates.basis)
         return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 import darkstate_sim
 from darkstate_sim import (
@@ -122,23 +128,80 @@ class TestAmplitudesCommand:
         assert rows[-1, 3] == pytest.approx(plateau, abs=1e-3)
 
 
+def _child_env(**extra):
+    """The environment of a child Python that imports the package under test.
+
+    The child must import it even when pytest put it on sys.path
+    (pyproject's pythonpath) rather than PYTHONPATH.
+    """
+    src = os.path.dirname(os.path.dirname(darkstate_sim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+# numpy's x86-64 dispatch targets above its baseline kernels.
+ABOVE_BASELINE = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _compute_golden_tables(directory):
+    """Writes every golden table into ``directory`` with ``main``, in one child process.
+
+    The child runs numpy on its baseline x86-64 kernels, which every x86-64
+    CPU has: numpy picks its exp, log, sin and cos kernels by CPU feature,
+    and they differ by ulps.  ``NPY_DISABLE_CPU_FEATURES`` names the targets
+    of ABOVE_BASELINE that the CPU has (numpy warns about any other).  A
+    target that this process already runs without reads False in
+    ``__cpu_features__``, so the process's own list counts as present.
+    """
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    pinned = [target for target in ABOVE_BASELINE if __cpu_features__.get(target) or target in disabled]
+    argvs = [
+        [command, "--ga", g_a, "--gb", g_b, "--kappa", kappa, "--gamma", gamma,
+         "--out", str(directory / f"{command}_{name}.csv")]
+        for command in ("amplitudes", "probabilities")
+        for name, (g_a, g_b, kappa, gamma) in GOLDEN_SETS.items()
+    ]
+    script = "import json, sys\nfrom darkstate_sim.cli import main\nsys.exit(max(map(main, json.loads(sys.argv[1]))))"
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(NPY_DISABLE_CPU_FEATURES=" ".join(pinned)),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def _write_golden_tables():
+    """Rewrites the golden tables as the test computes them.
+
+    ``PYTHONPATH=src:tests python -c "import test_cli as m; m._write_golden_tables()"``
+    """
+    _compute_golden_tables(GOLDEN_TABLES)
+
+
+@pytest.fixture(scope="session")
+def baseline_tables(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    _compute_golden_tables(directory)
+    return directory
+
+
 class TestGoldenTables:
     """The closed-form tables, byte for byte as committed in data/golden.
 
     Each file is the output of ``darkstate-sim <command> --ga G_A --gb G_B
     --kappa KAPPA --gamma GAMMA --out data/golden/<command>_<set>.csv`` on the
-    default grid, so a rewrite of the closed form is checked against fixed
-    outputs.
+    default grid and on numpy's baseline x86-64 kernels
+    (``_compute_golden_tables``), so a rewrite of the closed form is checked
+    against fixed outputs on any x86-64 CPU.
     """
 
     @pytest.mark.parametrize("command", ["amplitudes", "probabilities"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
-    def test_matches_committed_table(self, capsys, command, name):
-        g_a, g_b, kappa, gamma = GOLDEN_SETS[name]
-        rates = ["--ga", g_a, "--gb", g_b, "--kappa", kappa, "--gamma", gamma]
-        code, out, err = _run(capsys, [command, *rates])
-        assert (code, err) == (0, "")
-        assert out.encode() == (GOLDEN_TABLES / f"{command}_{name}.csv").read_bytes()
+    def test_matches_committed_table(self, baseline_tables, command, name):
+        table = f"{command}_{name}.csv"
+        assert (baseline_tables / table).read_bytes() == (GOLDEN_TABLES / table).read_bytes()
 
 
 class TestFidelityCommand:
@@ -293,7 +356,7 @@ class TestTrajectoriesCommand:
         # 13 chunks: serial on one usable CPU, a pool of 4 on eight.
         outputs, pools = [], []
         monkeypatch.setattr(
-            montecarlo, "ThreadPoolExecutor",
+            "concurrent.futures.ThreadPoolExecutor",
             lambda max_workers: pools.append(max_workers) or ThreadPoolExecutor(max_workers),
         )
         for cpus in (1, 8):
@@ -575,10 +638,6 @@ class TestSharedParser:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
-        # The child must import the package under test even when pytest put
-        # it on sys.path (pyproject's pythonpath) rather than PYTHONPATH.
-        src = os.path.dirname(os.path.dirname(darkstate_sim.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [
                 sys.executable, "-m", "darkstate_sim.cli",
@@ -587,7 +646,15 @@ class TestModuleEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "t,P0,Pcav,Pspon"
+
+    def test_import_leaves_thread_pool_out(self):
+        # run_ensemble imports concurrent.futures only to build a pool.
+        script = "import sys, darkstate_sim.cli\nprint('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=_child_env()
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")

@@ -151,6 +151,26 @@ class TestArrayPaths:
         assert np.array_equal(timed.mixture.t, [1.0, 5.0])
         assert timed.mixture.lam.shape == (2,)
 
+    @pytest.mark.parametrize("wrap", [np.float64, np.array])
+    def test_numpy_scalar_weight_gives_python_floats(self, wrap):
+        # A mixture built by hand may hold lam as np.float64 or a 0-d array;
+        # both run the float path, to the bits of the array element.
+        lams = np.array([0.0, -0.0, 1e-300, 0.3, 0.5, 0.9034837717826031, 1.0 - 2.0**-53, 1.0])
+        array = ConditionedMixture(lams, np.zeros(lams.size))
+        entropies = relative_entropy_of_entanglement(array)
+        repumped = repump_round(array, 0.9)
+        for k, lam in enumerate(lams):
+            mixture = ConditionedMixture(wrap(lam), 0.0)
+            entropy = relative_entropy_of_entanglement(mixture)
+            result = repump_round(mixture, 0.9)
+            for got, want in [
+                (entropy, entropies[k]),
+                (result.mixture.lam, repumped.mixture.lam[k]),
+                (result.click_probability, repumped.click_probability[k]),
+            ]:
+                assert type(got) is float, (lam, type(got))
+                assert np.float64(got).tobytes() == want.tobytes(), (lam, got, want)
+
     def test_one_negative_time_rejected(self, fig_params):
         ts = np.linspace(0.0, 10.0, 5)
         ts[2] = -1.0

@@ -847,7 +847,7 @@ class TestEnsemble:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         return sizes
 
     @pytest.mark.parametrize(

@@ -529,7 +529,7 @@ class TestBudgetRangeCheck:
 
 
 class TestProjectorCache:
-    """``_projectors`` builds each rate set's projectors once and shares them."""
+    """``_rates`` builds each rate set's projectors once and shares them."""
 
     def _outputs(self, params, times):
         triple = emission_probabilities(params, times)
@@ -545,8 +545,8 @@ class TestProjectorCache:
 
     def test_shared_array_is_read_only(self, fig_params):
         for basis in (
-            propagator._projectors(fig_params),
-            Propagator.from_parameters(fig_params)._basis,
+            propagator._rates(fig_params).basis,
+            Propagator.from_parameters(fig_params)._rates.basis,
         ):
             with pytest.raises(ValueError):
                 basis[0, 1, 1] = 0.0
@@ -626,14 +626,14 @@ class TestProjectorCache:
             with pytest.raises(ValueError, match=message):
                 call()
         below = Parameters(g_a=2e102, g_b=1.0, kappa=1.0, gamma=1e-3)
-        assert np.isfinite(propagator._projectors(below)).all()
+        assert np.isfinite(propagator._rates(below).basis).all()
         assert np.isfinite(conditional_state(below, np.array([0.0, 1e-104, 0.03]))).all()
 
     def test_zero_couplings_raise_every_call(self):
         params = Parameters(g_a=0.0, g_b=0.0, kappa=1.0, gamma=1e-3)
         for _ in range(3):
             with pytest.raises(DegenerateCouplingError):
-                propagator._projectors(params)
+                propagator._rates(params).basis
             with pytest.raises(DegenerateCouplingError):
                 emission_probabilities(params, 1.0)
             with pytest.raises(DegenerateCouplingError):
