@@ -38,16 +38,10 @@ class ConditionedMixture:
     t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, dtype=float)[()]  # a numpy scalar at 0-d
-        if not ((lam >= 0.0) & (lam <= 1.0)).all():  # also rejects NaN
+        lam = self.lam if type(self.lam) is float else np.asarray(self.lam, dtype=float)
+        # Two comparisons on a float, elementwise otherwise; both reject NaN.
+        if not (0.0 <= lam <= 1.0 if type(lam) is float else ((lam >= 0.0) & (lam <= 1.0)).all()):
             raise ValueError(f"mixture weight must be in [0, 1], got {self.lam!r}")
-
-
-def _built(lam, t) -> ConditionedMixture:
-    """A mixture whose weight lies in [0, 1] by construction, built without the check."""
-    mixture = object.__new__(ConditionedMixture)
-    mixture.__dict__.update(lam=lam, t=t)
-    return mixture
 
 
 def _probability(value, name: str) -> float:
@@ -71,8 +65,8 @@ def _mixture(p0, p_cav, eta: float, times) -> ConditionedMixture:
         )
     lam = p0 / no_click  # clipped to [0, 1] by min(lam, 1), as P0 >= 0 and no_click > 0
     if type(times) is float:
-        return _built(1.0 if lam > 1.0 else lam, times)  # np.minimum's result, NaN kept
-    return _built(np.minimum(lam, 1.0), times)
+        return ConditionedMixture(1.0 if lam > 1.0 else lam, times)  # np.minimum's result
+    return ConditionedMixture(np.minimum(lam, 1.0), times)
 
 
 def mixture_at(params: Parameters, t, eta: float | None = None) -> ConditionedMixture:
@@ -139,4 +133,4 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     else:
         new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0)
     new_lam += 0.0  # maps a -0.0 weight to 0.0, so that the CSV writes 0, not -0
-    return RepumpResult(_built(new_lam, mixture.t), click)
+    return RepumpResult(ConditionedMixture(new_lam, mixture.t), click)

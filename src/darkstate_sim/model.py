@@ -25,8 +25,10 @@ cavity and is immune to cavity loss; the two remaining eigenvalues are
 (kappa + gamma +/- i S)/2 with S^2 = 4(g_a^2+g_b^2) - (kappa-gamma)^2.
 S is real in the oscillatory regime, zero at the critical point (where M is
 defective) and imaginary when the cavity is overdamped.  Nothing forms these
-eigenvalues: the propagator works with the real S^2 and the dark projector
-(see ``propagator``).
+eigenvalues: the propagator works with the real S^2 and builds its spectral
+projectors from the unit dark state of ``conditional_generator`` (see
+``propagator``).  ``Parameters`` rejects every rate set whose squares, S^2
+or kappa + gamma overflow, or whose Omega^2 is subnormal.
 """
 
 from __future__ import annotations
@@ -77,13 +79,17 @@ class Parameters:
             raise ValueError("spontaneous decay rate gamma must be nonnegative")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("detector efficiency eta must lie in [0, 1]")
-        # The closed form squares the rates; x * x gives inf where x**2 raises.
+        # Every "rates too large" limit of the closed form: it squares the
+        # rates (x * x gives inf where x**2 raises), and forms S^2 and a.
         coupling_sq = self.g_a * self.g_a + self.g_b * self.g_b
         split_sq = (self.kappa - self.gamma) * (self.kappa - self.gamma)
-        for name, square in (("g_a^2 + g_b^2", coupling_sq), ("(kappa - gamma)^2", split_sq)):
-            if not math.isfinite(square):
+        for name, value in (("g_a^2 + g_b^2", coupling_sq), ("(kappa - gamma)^2", split_sq),
+                            ("S^2 = 4(g_a^2 + g_b^2) - (kappa - gamma)^2", 4.0 * coupling_sq - split_sq),
+                            ("kappa + gamma", self.kappa + self.gamma)):
+            if not math.isfinite(value):
                 raise ValueError(f"rates too large: {name} is not a finite float")
-        # A subnormal Omega^2 loses bits in the Omega^2-scaled projectors.
+        # A subnormal Omega^2 loses bits, and with it S^2, the unit dark state
+        # and the dark weight g_b^2/Omega^2.
         if (self.g_a or self.g_b) and coupling_sq < sys.float_info.min:
             raise ValueError("rates too small: g_a^2 + g_b^2 is below the smallest normal float")
 

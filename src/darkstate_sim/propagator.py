@@ -1,13 +1,13 @@
 """Exact no-detection propagation and the emission probability budget.
 
-One real closed form evaluates U(t) = exp(-M t) in every regime.  The dark
-vector d = (0, g_b, -g_a)/Omega is a left and a right eigenvector of M with
-eigenvalue gamma, so the dark projector D = d d^T commutes with M and the
-bright plane P = I - D (the cavity mode and the coupled atomic combination)
-is invariant.  On that plane (M - a/2)^2 = -S^2/4, with a = kappa + gamma and
-S^2 = 4 Omega^2 - (kappa - gamma)^2, so that
+One real closed form evaluates U(t) = exp(-M t) in every regime.  The unit
+dark state d of ``conditional_generator`` is a left and a right eigenvector
+of M with eigenvalue gamma, so the dark projector D = d d^T commutes with M
+and the bright plane P = I - D (the cavity mode and the coupled atomic
+combination) is invariant.  On that plane (M - a/2)^2 = -S^2/4, with
+a = kappa + gamma and S^2 = 4 Omega^2 - (kappa - gamma)^2, so that
 
-    U(t) = e0 D + c P + s Q,    Q = 2 (a/2 - M) P,
+    U(t) = e0 D + c P + s Q,    Q = (a I - 2 M) P,
     e0 = e^{-gamma t},  c = e^{-a t/2} cos(S t/2),  s = e^{-a t/2} sin(S t/2) / S.
 
 ``_split_factors`` evaluates (e0, c, s) in real arithmetic and branches once
@@ -37,6 +37,8 @@ sin), to the bits and error messages of the matching array element.
 The projectors, and all else the closed forms read from the four rates, are
 built once per rate set into a ``_Rates`` record (a bounded cache keyed on
 (g_a, g_b, kappa, gamma), shared by every eta), read-only for every thread.
+D and P are dimensionless and Q's entries are of order kappa + gamma + g, so
+every rate set that ``Parameters`` accepts evaluates; it holds every limit.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .errors import NegativeTimeError, ProbabilityRangeError
 from .model import (
     ConditionalGenerator,
     Parameters,
-    _generator_matrix,
     _rate_key,
     _require_coupling,
     conditional_generator,
@@ -96,9 +97,8 @@ def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> None:
 class _Rates(NamedTuple):
     """What the closed forms read from the four rates, built once per rate set."""
 
-    basis: np.ndarray  # Omega^2 (D, P, Q), stacked, read-only; unnormalized, so D + P = I exactly at t = 0
+    basis: np.ndarray  # (D, P, Q), stacked, read-only; P = I - D, so D + P = I exactly at t = 0
     column: tuple  # row k of column 1 of basis: (D[k, 1], P[k, 1], Q[k, 1]), as floats
-    coupling_squared: float  # Omega^2
     gamma: float
     mean_decay: float  # a = kappa + gamma
     split_squared: float  # S^2 = 4 Omega^2 - (kappa - gamma)^2: > 0 oscillatory, < 0 overdamped
@@ -115,28 +115,17 @@ def _rates(params: Parameters) -> _Rates:
 @functools.lru_cache(maxsize=128)
 def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> _Rates:
     params = Parameters(g_a=g_a, g_b=g_b, kappa=kappa, gamma=gamma)
-    _require_coupling(params)  # an exception is not cached, so every call checks
+    generator = conditional_generator(params)  # an exception is not cached, so every call checks
     mean_decay = kappa + gamma
-    dark = np.array([0.0, g_b, -g_a])
-    bright = np.array([0.0, g_a, g_b])
-    plane = np.outer(bright, bright)
-    plane[0, 0] = params.coupling_squared  # the cavity mode
-    # Q grows like Omega^3 and overflows long before the squares that
-    # Parameters checks (from g_a of about 4.5e102 at g_b = kappa = 1).
-    with np.errstate(over="ignore", invalid="ignore"):
-        sine = mean_decay * plane - 2.0 * _generator_matrix(params) @ plane
-    if not np.isfinite(sine).all():
-        raise ValueError(
-            f"rates too large: Q = 2(a/2 - M)P is not finite for g_a={g_a!r}, "
-            f"g_b={g_b!r}, kappa={kappa!r}, gamma={gamma!r}"
-        )
-    basis = np.stack([np.outer(dark, dark), plane, sine])
+    dark = np.outer(generator.dark_state, generator.dark_state)
+    plane = np.eye(3) - dark
+    basis = np.stack([dark, plane, (mean_decay * np.eye(3) - 2.0 * generator.matrix) @ plane])
     basis.setflags(write=False)
     split_sq = 4.0 * params.coupling_squared - (kappa - gamma) ** 2
     split = math.sqrt(abs(split_sq))
     slow = (kappa * gamma + params.coupling_squared) / (0.5 * (mean_decay + split))
     column = tuple(map(tuple, basis[:, :, 1].T.tolist()))
-    return _Rates(basis, column, params.coupling_squared, gamma, mean_decay, split_sq, split, slow)
+    return _Rates(basis, column, gamma, mean_decay, split_sq, split, slow)
 
 
 def _clip(value: float) -> float:
@@ -199,7 +188,7 @@ def _split_factors(rates: _Rates, times, out=None):
     return e0, cos_factor, sin_factor
 
 
-def _propagate(rates: _Rates, factors, basis: np.ndarray, out=None) -> np.ndarray:
+def _propagate(factors, basis: np.ndarray, out=None) -> np.ndarray:
     """e0 D + c P + s Q over ``basis``, (D, P, Q) or their column 1 stacked: basis.shape[1:] + t.shape.
 
     Elementwise by broadcasting, so that a time's result does not depend on how
@@ -212,22 +201,21 @@ def _propagate(rates: _Rates, factors, basis: np.ndarray, out=None) -> np.ndarra
     total = _scaled(basis[0], e0, into_total)
     total += _scaled(basis[1], cos_factor, into_term)
     total += _scaled(basis[2], sin_factor, into_term)
-    total /= rates.coupling_squared
     return total
 
 
 def _amplitudes(rates: _Rates, factors, out=None):
     """(c_100, c_010, c_001): the state grown from |010>, column 1 of U(t).
 
-    Three Python floats at a float t, row k (d e0 + p c + q s) / Omega^2 for
-    (d, p, q) row k of ``rates.column``; otherwise the (3,) + t.shape array of
+    Three Python floats at a float t, row k (d e0 + p c) + q s for (d, p, q)
+    row k of ``rates.column``; otherwise the (3,) + t.shape array of
     ``_propagate`` (``out`` is its pair of buffers).  The same operations in
     the same order, so the bits match.
     """
     e0, cos_factor, sin_factor = factors
     if type(e0) is float:
-        return [(d * e0 + p * cos_factor + q * sin_factor) / rates.coupling_squared for d, p, q in rates.column]
-    return _propagate(rates, factors, rates.basis[:, :, 1], out)
+        return [d * e0 + p * cos_factor + q * sin_factor for d, p, q in rates.column]
+    return _propagate(factors, rates.basis[:, :, 1], out)
 
 
 # Rows of a _survival_kernel buffer: the amplitudes, left there for the
@@ -294,7 +282,7 @@ class Propagator:
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        entries = _propagate(self._rates, _split_factors(self._rates, _check_times(t)), self._rates.basis)
+        entries = _propagate(_split_factors(self._rates, _check_times(t)), self._rates.basis)
         return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 
@@ -314,13 +302,13 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
 def cavity_emission_saturation(params: Parameters) -> float:
     """Total probability that the excitation ever leaves through the mirrors.
 
-    kappa g_a^2 / ((kappa+gamma)(g_a^2+g_b^2+kappa*gamma)); this is the
-    t -> infinity limit of the cavity emission probability.
+    kappa/(kappa+gamma) * g_a^2/(g_a^2+g_b^2+kappa*gamma), the t -> infinity
+    limit of the cavity emission probability.  Both factors lie in [0, 1], so
+    it neither overflows nor divides by a product that underflowed to zero.
     """
     _require_coupling(params)
-    mean_decay = params.kappa + params.gamma
     bright_rates = params.coupling_squared + params.kappa * params.gamma  # lambda_+ lambda_-
-    return params.kappa * params.g_a**2 / (mean_decay * bright_rates)
+    return params.kappa / (params.kappa + params.gamma) * (params.g_a**2 / bright_rates)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -360,7 +348,7 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     decay = _transcendental(np.exp, -mean_decay * times)
     bracket = 1.0 - decay - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     p0 = cavity + atom_a + atom_b
-    p_cav = cavity_emission_saturation(params) * bracket
+    p_cav = cavity_emission_saturation(params) * bracket + 0.0  # -0.0 (at g_a = 0) to 0.0
     if type(times) is float:  # the array code below, element for element, on Python floats
         raw = [p0, p_cav, 1.0 - _clip(p0) - _clip(p_cav)]
         clipped = [_clip(value) for value in raw]

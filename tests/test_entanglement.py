@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkstate_sim import entanglement
 from darkstate_sim import (
     ConditionedMixture,
     NegativeTimeError,
@@ -56,6 +57,15 @@ class TestMixture:
             ConditionedMixture(lam=1.2, t=0.0)
         with pytest.raises(ValueError):
             ConditionedMixture(lam=float("nan"), t=0.0)
+
+    @pytest.mark.parametrize("t", [50.0, np.array([1.0, 50.0])])
+    def test_nan_weight_rejected(self, fig_params, monkeypatch, t):
+        # Every mixture goes through the checked constructor: a NaN saturation
+        # once gave lam = nan here (as an overflowed one did at g_a = 1e100,
+        # kappa = 1e150).
+        monkeypatch.setattr(entanglement, "cavity_emission_saturation", lambda params: math.nan)
+        with pytest.raises(ValueError, match="mixture weight must be in"):
+            mixture_asymptotic(fig_params, t)
 
     @pytest.mark.parametrize("t", [1e4, np.array([1.0, 1e4])])
     def test_zero_probability_conditioning_raises(self, t):

@@ -48,6 +48,8 @@ class TestParameters:
             (dict(g_a=1e154, g_b=1e154, kappa=1.0), "g_a^2 + g_b^2"),  # only the sum overflows
             (dict(g_a=1.0, g_b=1.0, kappa=1e200), "(kappa - gamma)^2"),
             (dict(g_a=1.0, g_b=1.0, kappa=1.0, gamma=1e200), "(kappa - gamma)^2"),
+            (dict(g_a=7e153, g_b=1.0, kappa=1.0), "S^2 = 4(g_a^2 + g_b^2) - (kappa - gamma)^2"),
+            (dict(g_a=1.0, g_b=1.0, kappa=1e308, gamma=1e308), "kappa + gamma"),
         ],
     )
     def test_rates_whose_squares_overflow_rejected(self, kwargs, name):
@@ -59,12 +61,21 @@ class TestParameters:
         p = Parameters(g_a=1e150, g_b=1e150, kappa=1e200, gamma=1e200)
         assert p.coupling_squared == pytest.approx(2e300)
 
+    def test_largest_split_square_accepted(self):
+        # 4 Omega^2 first overflows at g_a of about 6.7e153 (g_b = kappa = 1).
+        p = Parameters(g_a=6e153, g_b=1.0, kappa=1.0)
+        times = np.array([0.0, 1e-160, 1e-3, 30.0])
+        triple = emission_probabilities(p, times)
+        assert np.isfinite([triple.p0, triple.p_cav, triple.p_spon]).all()
+        assert np.isfinite(conditional_state(p, times)).all()
+
     @pytest.mark.parametrize("g", [1.05e-154, 1e-161, 1e-162])
     def test_couplings_whose_square_underflows_rejected(self, g):
-        # A subnormal Omega^2 loses bits in the Omega^2-scaled projectors.
-        # Unchecked, P0 is off by 6.8e-8 relative at g = 1e-158, P0(1) reads
-        # 1.0 against 0.998 at 1e-161, and at 1e-162 Omega^2 = 0 is reported
-        # as g_a = g_b = 0.
+        # A subnormal Omega^2 loses bits, and with it S^2, the unit dark state
+        # and the dark weight g_b^2/Omega^2.  Unchecked, |d|^2 is off 1 by
+        # 1.6e-8 at g = 1e-158, the dark weight is off by 8.1e-4 relative at
+        # (g_a, g_b) = (1e-160, 3e-161), and at 1e-162 Omega^2 = 0 is
+        # reported as g_a = g_b = 0.
         with pytest.raises(ValueError) as info:
             Parameters(g_a=g, g_b=g, kappa=1.0)
         assert str(info.value) == (
