@@ -90,7 +90,7 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
     eta = _resolve_eta(params, eta)
     saturation = cavity_emission_saturation(params)
     weight = params.g_b**2 / params.coupling_squared
-    times = _check_times(t)
+    times = _check_times(t)[0]
     return _mixture(weight * _transcendental(np.exp, -2.0 * params.gamma * times), saturation, eta, times)
 
 

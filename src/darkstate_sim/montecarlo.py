@@ -6,30 +6,23 @@ by one of the atoms, or survives (asymptotically trapped in the dark state).
 The waiting time is sampled by inverting the survival law P0(t) = u with a
 uniform u, and the channel is chosen from the instantaneous rates
 (2 kappa |c_100|^2 : 2 gamma |c_010|^2 : 2 gamma |c_001|^2) at the jump.
-The inversion is safeguarded Newton on log P0(t) - log u, whose slope
--w1/P0 comes from the total rate w1 = -dP0/dt, the sum of the three.
-
-A batch evaluates the closed form once per point, through
-``propagator._survival_kernel``: from the three real amplitudes there, P0
-(bit for bit the budget's), w1 and the cavity and atom-a rates.  A root's
-last evaluation is at its accepted time, so the rates it leaves behind pick
-the channel.  The start table on log-spaced times brackets every root.  It
-depends only on the rates and the horizon, so ``_rate_table`` builds it from
-one kernel evaluation once per (g_a, g_b, kappa, gamma, horizon), keeps the
-last 8, and shares them read-only with every batch and thread.  It stores
-the inverse quintic Hermite interpolant of t in log P0 on each interval,
-matching dt/dlog P0 and d2t/dlog P0^2, and each root's first Newton state
-is its bracket and one Horner evaluation of it.  Each Newton step
-evaluates only the roots still active: on the paper's set a 16 384-trajectory
-chunk takes two steps over about 19 000 points in all, 1.15 per jump.
-Roots leave the active set only at the stop test right after their
-evaluation; a step gathers the rest once and forms the Newton step, the
-bracket and the other stop rules for them alone (about 2 450 of 16 384
-after the first evaluation).  Every kappa > 0 gets a finite horizon.
+``_invert_survival`` takes the draws to their roots: a start from a table of
+P0 on log-spaced times up to the horizon, then safeguarded Newton on
+log P0(t) - log u over the roots still active.  Each evaluation is one call
+of ``propagator._survival_kernel``: P0 (bit for bit the budget's), the total
+rate w1 = -dP0/dt, and the cavity and atom-a rates.  A root's last
+evaluation is at its accepted time, so the rates it leaves behind pick the
+channel.  On the paper's set a 16 384-trajectory chunk takes two steps over
+about 19 000 points in all.  The table depends only on the rates and the
+horizon, so ``_rate_table`` builds it once and shares it read-only with
+every batch and thread.  Every kappa > 0 gets a finite default horizon.  An
+ensemble tallies no jump after its last grid time, so it solves roots only
+up to that time, its horizon, and keys its start table on it.
 
 A chunk of up to _CHUNK trajectories computes in buffers its thread allocates
 once (``_Workspace``), so a serial run neither grows nor trims the heap; a
-wider batch runs chunk by chunk, in about its results' memory plus a chunk's.
+wider batch, or an ensemble, runs chunk by chunk (``_chunks``), in about its
+results' memory plus a chunk's.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
@@ -39,7 +32,9 @@ Randomness is counter-based: trajectory ``index`` under master ``seed``
 consumes exactly one Philox block, ``Generator(Philox(key=seed,
 counter=index)).random(4)`` — (waiting, channel, detection, spare).  The
 outcome stream is therefore a pure function of (seed, index), independent of
-chunking and of the worker count used to evaluate it.
+chunking and of the worker count used to evaluate it.  Ensemble counts
+depend on (seed, n, grid, rates) alone; a jump time depends on its horizon
+too, at the last-ulp level, through the start table.
 """
 
 from __future__ import annotations
@@ -73,18 +68,14 @@ _TABLE_POINTS = 4096
 _TABLE_START = 1e-9
 _TRANSIENT_START = 1e-3
 
-# A trajectory stops once |log P0(t) - log u| <= _RESIDUAL_TOL, tested right
-# after each evaluation and before any step is formed, the one stop point.
-# The roots that miss it get a step; one whose bracket is then _BRACKET_ULPS
-# ulp wide, or whose step leaves t unchanged, keeps its t and leaves at the
-# next test.  A stop test on the step size alone never fires where round-off
-# in P0 moves the Newton step by more than a few ulp.
-# _MAX_STEPS, in evaluations, guards termination (a root still moving after it
-# raises SimulationError): from the quintic start, batches stop within 2 or 3
-# steps, most roots at their first evaluation, or about 20 when kappa << Omega
-# makes P0 a staircase finer than the table (each step over fewer roots: 1.0
-# to 1.3 kernel points per jump in all, 4 to 6 on the staircases, the cached
-# table not counted).
+# A root stops once |log P0(t) - log u| <= _RESIDUAL_TOL, tested right after
+# each evaluation, the one stop point.  One that misses it, but whose bracket
+# is then _BRACKET_ULPS ulp wide or whose step leaves t unchanged, keeps its t
+# and leaves at the next test (a test on the step alone never fires where
+# round-off in P0 moves the step by more than a few ulp).  _MAX_STEPS
+# evaluations guard termination: from the quintic start a chunk stops within
+# 2 or 3 steps (1.0 to 1.3 kernel points per jump), or about 20 (4 to 6) where
+# kappa << Omega makes P0 a staircase finer than the table.
 _RESIDUAL_TOL = 1e-15
 _BRACKET_ULPS = 4
 _MAX_STEPS = 200
@@ -149,12 +140,8 @@ def default_horizon(params: Parameters) -> float:
 
 
 def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
-    """The uniform draws for trajectories start, start+1, ..., one row each, into ``out``.
-
-    ``out`` is a C-contiguous (count, 4) array.
-    """
-    bitgen = np.random.Philox(key=seed, counter=start)
-    return np.random.Generator(bitgen).random(out=out)
+    """The uniform draws of trajectories start, start+1, ..., one row each, into ``out``, C-contiguous (count, 4)."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=start)).random(out=out)
 
 
 def _check_seed(seed: int) -> int:
@@ -162,6 +149,11 @@ def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
+
+
+def _chunks(start: int, count: int) -> list:
+    """The (start, count) spans of at most _CHUNK trajectories that cover start .. start+count-1."""
+    return [(k, min(_CHUNK, start + count - k)) for k in range(start, start + count, _CHUNK)]
 
 
 class _StartTable(NamedTuple):
@@ -242,8 +234,7 @@ def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: flo
     return _StartTable(*arrays, float(p0[-1]))
 
 
-# Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the
-# step before last.
+# Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the one before.
 _STATE_ROWS = 6
 _SCRATCH_ROWS = 6
 
@@ -277,19 +268,35 @@ def _rows(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
     return buffer[: rows * width].reshape(rows, width)
 
 
-def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace) -> np.ndarray:
-    """The first Newton state of the roots of P0(t) = u, from the table.
+def _invert_survival(kernel, table: _StartTable, u: np.ndarray, work: _Workspace):
+    """The roots of P0(t) = u, each u in (P0(horizon), 1], by a table start and safeguarded Newton.
 
-    The bracket is the pair of neighbouring table times around u (on the
-    monotone envelope, which absorbs round-off wiggles of P0).  The start is
-    one Horner evaluation of the interval's inverse quintic Hermite
-    interpolant of t in log P0 (``_StartTable``).  Only the roots whose start
-    is not finite or leaves the bracket (w1 = 0 at t = 0 when gamma = 0, the
-    flat steps of a staircase) fall back to linear interpolation of log P0,
-    and to the bracket's midpoint where that fails too.  u = 1 starts at t = 0
-    exactly.  Returns the (_STATE_ROWS, n) rows (log u, lo, hi, t, step, step
-    before last), both steps hi - lo, in the first state buffer of ``work``,
-    which must not hold ``u``.
+    A root starts inside its bracket, the neighbouring table times around u
+    on the monotone envelope (which absorbs round-off wiggles of P0), at one
+    Horner evaluation of the interval's inverse quintic (``_StartTable``).
+    Where that is not finite or leaves the bracket (w1 = 0 at t = 0 when
+    gamma = 0, the flat steps of a staircase), it starts at the linear
+    interpolant of log P0, or else at the midpoint.  u = 1 starts, and stays,
+    at t = 0 exactly.
+
+    Then Numerical Recipes' ``rtsafe`` on log P0 - log u, whose slope is
+    -w1/P0, from ``kernel(t, out)`` = (P0, w1, w_cav, w_a): a Newton step that
+    leaves the bracket, is not finite or does not halve the step before last
+    becomes a bisection, and every evaluation tightens the bracket.  Each
+    step evaluates the active roots alone and writes their times and rates
+    back (so a root that stops leaves its last evaluation); runs the stop
+    test, the one place where roots leave; gathers the rest, their Newton
+    state with the residual, P0 and w1, into the other buffers of ``work``;
+    and on them alone forms the step, the bracket and the bracket-width and
+    unchanged-t rules.  A root these stop keeps its t, is evaluated there
+    once more (bit for bit as before) and leaves at the next test; once none
+    moves, the call returns.  The kernel is elementwise, so a root never
+    depends on the rest of the batch.  ``u`` must not lie in the first state
+    buffer of ``work``.
+
+    Returns the (4, n) rows of the times and the rates (w1, w_cav, w_a) at
+    them, in ``work``; raises SimulationError if some root still moves after
+    _MAX_STEPS steps.
     """
     n = u.size
     log_u, lo, hi, t, step, step_old = state = _rows(work.states[0], _STATE_ROWS, n)
@@ -322,38 +329,7 @@ def _bracket_from_table(table: _StartTable, u: np.ndarray, work: _Workspace) -> 
     np.copyto(t, 0.0, where=np.greater_equal(u, 1.0, out=flag))
     np.subtract(hi, lo, out=step)
     np.copyto(step_old, step)
-    return state
 
-
-def _invert_survival(kernel, state: np.ndarray, work: _Workspace):
-    """Safeguarded Newton (Numerical Recipes ``rtsafe``) on log P0(t) = log u.
-
-    ``kernel(t, out)`` returns (P0, w1, w_cav, w_a) at an array of times,
-    where w1 = -dP0/dt is the total emission rate, so that -w1/P0 is the
-    slope of log P0.  ``state`` is the first Newton state that
-    ``_bracket_from_table`` leaves in ``work``: each root must satisfy P0(lo)
-    > u >= P0(hi), with its start t inside [lo, hi].  A Newton step that
-    leaves the bracket or is not finite, or that does not halve the step
-    before last, becomes a bisection, and every evaluation tightens the
-    bracket.  Each element stops on its own rule (see _RESIDUAL_TOL).
-
-    Only the elements still active are evaluated.  Each step runs in this
-    order: the kernel at t, whose time and rates are written back (so an
-    element that stops leaves its last evaluation); the stop test, the one
-    place where elements leave the active set; one gather of the elements
-    that go on, their state with the residual, P0 and w1, into the other
-    buffers of ``work``; and then, on those alone, the Newton step or
-    bisection, the bracket update and the bracket-width and unchanged-t
-    rules.  An element these stop keeps its t, is evaluated there once more
-    (bit for bit as before) and dropped by the next stop test; once none
-    moves, the call returns.  The kernel is elementwise, so a result never
-    depends on the rest of the batch.  Elements with u = 1 stop at t = 0.
-
-    Returns the (4, n) rows of the times and the rates (w1, w_cav, w_a) at
-    them, in ``work``; raises SimulationError if some root still moves after
-    _MAX_STEPS steps.
-    """
-    n = state.shape[1]
     roots = _rows(work.roots, 4, n)
     index, side = slice(None), 0  # on the first step every element is active, in order
     _rows(work.flags, 3, n)[2].fill(True)  # every element moves into the first step
@@ -440,13 +416,7 @@ def _classify(v, total, cavity, atom_a, out) -> np.ndarray:
     return codes
 
 
-def simulate_trajectories(
-    params: Parameters,
-    seed: int,
-    start: int,
-    count: int,
-    horizon: float | None = None,
-):
+def simulate_trajectories(params: Parameters, seed: int, start: int, count: int, horizon: float | None = None):
     """Vectorized batch of trajectories ``start .. start+count-1`` from |010>.
 
     Returns (times, codes, detected): jump times (NaN when none), channel
@@ -459,17 +429,14 @@ def simulate_trajectories(
     start, count = operator.index(start), operator.index(count)
     if start < 0 or count < 1:
         raise ValueError("need start >= 0 and count >= 1")
-    if horizon is None:
-        horizon = default_horizon(params)
-    horizon = float(horizon)
+    horizon = default_horizon(params) if horizon is None else float(horizon)
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0.0:
         raise NegativeTimeError("horizon must be positive")
 
     if count > _CHUNK:
-        spans = [(k, min(_CHUNK, start + count - k)) for k in range(start, start + count, _CHUNK)]
-        parts = [simulate_trajectories(params, seed, *span, horizon) for span in spans]
+        parts = [simulate_trajectories(params, seed, *span, horizon) for span in _chunks(start, count)]
         return tuple(map(np.concatenate, zip(*parts)))
 
     work = _WORKSPACE
@@ -491,8 +458,7 @@ def simulate_trajectories(
     first = int(np.searchsorted(sorted_u, table.p0_end, side="right"))
     jumping = order[first:]
 
-    state = _bracket_from_table(table, sorted_u[first:], work)
-    t_jump, *rates = _invert_survival(_survival_kernel(params), state, work)
+    t_jump, *rates = _invert_survival(_survival_kernel(params), table, sorted_u[first:], work)
     jumps = jumping.size
     v, detect_draw, *thresholds = _rows(work.scratch, _SCRATCH_ROWS, jumps)[:4]
     np.take(draws[:, 1], jumping, out=v, mode="clip")
@@ -515,28 +481,23 @@ def _usable_cpus() -> int:
 
 
 def _tally_chunk(params, seed, horizon, grid, job):
+    """The cavity and the spontaneous jumps by each grid time, of one chunk (``job``)."""
     times, codes, _ = simulate_trajectories(params, seed, *job, horizon)
-    cavity_times = np.sort(times[codes == _CODE_CAVITY])
-    spon_times = np.sort(times[codes > _CODE_CAVITY])
-    n_cav = np.searchsorted(cavity_times, grid, side="right").astype(np.int64)
-    n_spon = np.searchsorted(spon_times, grid, side="right").astype(np.int64)
-    return n_cav, n_spon
+    channels = codes == _CODE_CAVITY, codes > _CODE_CAVITY
+    return [np.searchsorted(np.sort(times[jumped]), grid, side="right").astype(np.int64) for jumped in channels]
 
 
-def run_ensemble(
-    params: Parameters,
-    n: int,
-    t_grid,
-    seed: int,
-    workers: int | None = None,
-) -> EnsembleEstimate:
+def run_ensemble(params: Parameters, n: int, t_grid, seed: int, workers: int | None = None) -> EnsembleEstimate:
     """Frequency estimates of (P0, P_cav, P_spon) from n trajectories.
 
     Trajectories are simulated in chunks of _CHUNK whose per-index
     randomness never depends on the partitioning, so the estimate is
-    bit-identical for any worker count.  ``workers=None`` runs one worker per
-    _CHUNKS_PER_WORKER chunks, at most one per usable CPU, and below two runs
-    on the calling thread; a given count must be an integer of at least 1.
+    bit-identical for any worker count.  Each chunk is one call of
+    ``simulate_trajectories`` whose horizon is the last grid time (the
+    default horizon when that is 0): a later jump is never tallied.
+    ``workers=None`` runs one worker per _CHUNKS_PER_WORKER chunks, at most
+    one per usable CPU, and below two runs on the calling thread; a given
+    count must be an integer of at least 1.
     """
     n = operator.index(n)
     if n < 1:
@@ -552,14 +513,15 @@ def run_ensemble(
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("t_grid must be sorted in ascending order")
 
-    jobs = [(start, min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)]
+    jobs = _chunks(0, n)
     if workers is None:
         workers = min(_usable_cpus(), len(jobs) // _CHUNKS_PER_WORKER)
     elif (workers := operator.index(workers)) < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
-    horizon = max(default_horizon(params), float(grid[-1]))
-    tally = functools.partial(_tally_chunk, params, seed, horizon, grid)
+    # No jump after the last grid time is tallied, so that time is the horizon;
+    # a grid that ends at t = 0 leaves simulate_trajectories its default.
+    tally = functools.partial(_tally_chunk, params, seed, float(grid[-1]) or None, grid)
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here, as serial calls need no pool
         with ThreadPoolExecutor(max_workers=workers) as pool:

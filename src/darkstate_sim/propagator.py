@@ -25,8 +25,9 @@ probability is a closed form in the same three factors, which
 ``emission_probabilities``, the one entry point for the budget, shares.
 
 All time-dependent quantities accept scalar or array times; a negative or
-NaN time raises NegativeTimeError and an infinite one ValueError.
-Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0
+NaN time raises NegativeTimeError, and an infinite one, or one where the
+phase S t/2 overflows before the envelope vanishes (``_checked_factors``),
+ValueError.  Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0
 and P_cav, forms P_spon = 1 - P0 - P_cav from the clipped values, and then
 checks all three unclipped quantities in one pass: the largest excess
 outside [0, 1] is computed once, and past round-off (or on NaN)
@@ -46,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +72,7 @@ def _as_float(value):
 
 
 def _check_times(t):
+    """``t`` as floats (``_as_float``) and its largest time; raises on a negative, NaN or infinite one."""
     times = _as_float(t)
     # The extremes of the times (NaN if one is NaN); the time itself when scalar.
     low, high = (times, times) if type(times) is float else (times.min(initial=0.0), times.max(initial=0.0))
@@ -77,7 +80,7 @@ def _check_times(t):
         raise NegativeTimeError("conditional evolution requires t >= 0")
     if not high < math.inf:
         raise ValueError("conditional evolution requires a finite t")
-    return times
+    return times, high
 
 
 def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> None:
@@ -104,6 +107,7 @@ class _Rates(NamedTuple):
     split_squared: float  # S^2 = 4 Omega^2 - (kappa - gamma)^2: > 0 oscillatory, < 0 overdamped
     split: float  # S, or sigma = sqrt(-S^2) when overdamped
     slow: float  # the overdamped slow rate lambda_- = (kappa gamma + Omega^2) / lambda_+
+    phase_limit: float  # the largest t with a finite phase (S/2) t; inf unless oscillatory
 
 
 def _rates(params: Parameters) -> _Rates:
@@ -124,8 +128,11 @@ def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> _Rat
     split_sq = 4.0 * params.coupling_squared - (kappa - gamma) ** 2
     split = math.sqrt(abs(split_sq))
     slow = (kappa * gamma + params.coupling_squared) / (0.5 * (mean_decay + split))
+    phase_limit = sys.float_info.max / (0.5 * split) if split_sq > 0.0 else math.inf
+    while split_sq > 0.0 and math.isinf(0.5 * split * phase_limit):  # one step down at most
+        phase_limit = math.nextafter(phase_limit, 0.0)
     column = tuple(map(tuple, basis[:, :, 1].T.tolist()))
-    return _Rates(basis, column, gamma, mean_decay, split_sq, split, slow)
+    return _Rates(basis, column, gamma, mean_decay, split_sq, split, slow, phase_limit)
 
 
 def _clip(value: float) -> float:
@@ -186,6 +193,28 @@ def _split_factors(rates: _Rates, times, out=None):
         cos_factor *= half_gap
     e0 = _transcendental(np.exp, _scaled(-rates.gamma, times, into_e0), into_e0)
     return e0, cos_factor, sin_factor
+
+
+def _checked_factors(rates: _Rates, t):
+    """The checked times t and the factors (e0, c, s) there, for one comparison below the phase limit.
+
+    Past ``rates.phase_limit`` the phase S t/2 overflows.  Where e^{-a t/2}
+    is 0 there, so are c and s (U(t) = e0 D); elsewhere the time is out of
+    the domain and raises ValueError.
+    """
+    times, high = _check_times(t)
+    if not high > rates.phase_limit:
+        return times, _split_factors(rates, times)
+    beyond = np.greater(times, rates.phase_limit)
+    first = float(np.min(times, where=beyond, initial=math.inf))
+    if np.exp(-0.5 * rates.mean_decay * first) > 0.0:
+        raise ValueError(f"t = {first!r} is out of the domain: the phase S t/2 overflows before e^(-a t/2) vanishes")
+    e0 = _transcendental(np.exp, -rates.gamma * times)
+    if type(times) is float:
+        return times, (e0, 0.0, 0.0)
+    _, cos_factor, sin_factor = _split_factors(rates, np.minimum(times, rates.phase_limit))
+    cos_factor[beyond] = sin_factor[beyond] = 0.0
+    return times, (e0, cos_factor, sin_factor)
 
 
 def _propagate(factors, basis: np.ndarray, out=None) -> np.ndarray:
@@ -282,7 +311,7 @@ class Propagator:
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        entries = _propagate(_split_factors(self._rates, _check_times(t)), self._rates.basis)
+        entries = _propagate(_checked_factors(self._rates, t)[1], self._rates.basis)
         return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 
@@ -294,8 +323,8 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     precessing with S/2 (or at the two real bright rates when overdamped).
     Returns real amplitudes of shape t.shape + (3,).
     """
-    times, rates = _check_times(t), _rates(params)
-    amps = np.asarray(_amplitudes(rates, _split_factors(rates, times)))
+    rates = _rates(params)
+    amps = np.asarray(_amplitudes(rates, _checked_factors(rates, t)[1]))
     return np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))
 
 
@@ -340,8 +369,8 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     so the triple sums to one by construction.  Accepts a scalar or an array
     of times.
     """
-    times, rates = _check_times(t), _rates(params)
-    factors = _split_factors(rates, times)
+    rates = _rates(params)
+    times, factors = _checked_factors(rates, t)
     _, cos_factor, sin_factor = factors
     mean_decay = rates.mean_decay
     cavity, atom_a, atom_b = (amplitude * amplitude for amplitude in _amplitudes(rates, factors))

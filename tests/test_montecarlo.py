@@ -56,10 +56,7 @@ def _inversion(params, u, wrap=lambda kernel: kernel):
     ``wrap`` may replace the closed-form kernel with one built on it.
     """
     kernel, table = _table(params, default_horizon(params))
-    u = np.asarray(u, dtype=float)
-    work = montecarlo._Workspace()
-    bracket = montecarlo._bracket_from_table(table, u, work)
-    return montecarlo._invert_survival(wrap(kernel), bracket, work)
+    return montecarlo._invert_survival(wrap(kernel), table, np.asarray(u, dtype=float), montecarlo._Workspace())
 
 
 def _roots(params, u):
@@ -75,15 +72,20 @@ def _waiting_draws(seed, count):
 
 class TestWaitingTime:
     def test_u_one_maps_to_time_zero(self, fig_params):
-        # u = 1 starts at t = 0 exactly and the inversion leaves it there,
-        # also beside roots that do move.
+        # u = 1 starts at t = 0 exactly (the first evaluation is there) and
+        # the inversion leaves it there, also beside roots that do move.
         for params in (fig_params, INVERSION_REGIMES["gamma_zero"]):
-            kernel, table = _table(params, default_horizon(params))
-            u = np.array([1.0, 0.5, 1.0])
-            work = montecarlo._Workspace()
-            bracket = montecarlo._bracket_from_table(table, u, work)
-            assert bracket[3][0] == bracket[3][2] == 0.0
-            times, total, cavity, atom_a = montecarlo._invert_survival(kernel, bracket, work)
+            starts = []
+
+            def first_times(kernel):
+                def recording(t, out=None):
+                    starts.append(t.copy())
+                    return kernel(t, out)
+
+                return recording
+
+            times, total, cavity, atom_a = _inversion(params, [1.0, 0.5, 1.0], first_times)
+            assert starts[0][0] == starts[0][2] == 0.0
             assert times[0] == times[2] == 0.0
             assert times[1] > 0.0
             # At t = 0 only atom a radiates: rates (w1, w_cav, w_a) = (2 gamma, 0, 2 gamma).
@@ -922,6 +924,46 @@ class TestEnsemble:
         p = Parameters(g_a=1.0, g_b=1.0, kappa=1.0)
         est = run_ensemble(p, 2_000, np.array([10.0, 200.0]), seed=4)
         assert est.p0_hat[-1] == pytest.approx(0.5, abs=0.05)
+
+
+class TestChunkContract:
+    """``run_ensemble`` is one ``montecarlo.simulate_trajectories`` call per chunk, at the last grid time.
+
+    No jump after the last grid time is tallied, so no root is solved past
+    it.  A benchmark tracer wraps that module-global name and divides by its
+    calls.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, CHUNK, 2 * CHUNK + 1])
+    def test_one_call_per_chunk(self, monkeypatch, fig_params, n, workers):
+        calls, lock = [], threading.Lock()
+        simulate = montecarlo.simulate_trajectories
+
+        def recording(params, seed, start, count, horizon=None):
+            with lock:
+                calls.append((start, count, horizon))
+            return simulate(params, seed, start, count, horizon)
+
+        monkeypatch.setattr(montecarlo, "simulate_trajectories", recording)
+        run_ensemble(fig_params, n, [0.0, 2.0, 7.5], 5, workers=workers)
+        assert sorted(calls) == [(start, min(CHUNK, n - start), 7.5) for start in range(0, n, CHUNK)]
+        # A grid that ends at t = 0 leaves simulate_trajectories its default horizon.
+        calls.clear()
+        run_ensemble(fig_params, n, [0.0], 5, workers=workers)
+        assert sorted(calls) == [(start, min(CHUNK, n - start), None) for start in range(0, n, CHUNK)]
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_counts_are_a_tally_of_the_trajectories(self, name):
+        params, n = INVERSION_REGIMES[name], CHUNK + 77
+        grid = np.array([0.0, 1e-4, 0.3, 2.0, 9.0])
+        for seed in (3, 40):
+            counts = run_ensemble(params, n, grid, seed, workers=1).counts
+            times, codes, _ = simulate_trajectories(params, seed, 0, n, grid[-1])
+            jumped = np.where(np.isnan(times), np.inf, times)[:, None] <= grid
+            cavity = np.sum(jumped & (codes == 0)[:, None], axis=0)
+            spontaneous = np.sum(jumped & (codes > 0)[:, None], axis=0)
+            assert np.array_equal(counts, [n - cavity - spontaneous, cavity, spontaneous])
 
 
 def _golden_count_grid(params):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import darkstate_sim
 from darkstate_sim import propagator
 from conftest import INVERSION_REGIMES, random_parameters
-from oracles import adaptive_simpson, central_difference, expm_decimal, expm_taylor
+from oracles import adaptive_simpson, central_difference, expm_decimal, expm_taylor, lindblad_budget
 from darkstate_sim import (
     DegenerateCouplingError,
     NegativeTimeError,
@@ -679,3 +679,100 @@ class TestProjectorCache:
                 emission_probabilities(params, 1.0)
             with pytest.raises(DegenerateCouplingError):
                 conditional_state(params, 1.0)
+
+
+class TestPhaseOverflow:
+    """Times past which the bright phase S t/2 overflows to inf.
+
+    At g_a = 1e100 the phase overflows from t of about 1.8e208, where the
+    envelope e^{-a t/2} has long been 0: the bright factors are 0 and the
+    state is the dark part e^{-gamma t} D e_1.  cos(inf) once gave NaN with a
+    RuntimeWarning, and the budget raised "P0 out of range by nan".  Where the
+    envelope is not yet 0 at such a time, the time is out of the domain.
+    """
+
+    BRIGHT_GONE = Parameters(1e100, 1.0, 1.0, 0.0)
+    BRIGHT_LEFT = Parameters(1e10, 1.0, 1e-300, 0.0)  # e^{-a t/2} ~ 1 where S t/2 overflows
+
+    def test_limit_is_the_last_finite_phase(self):
+        for params in (self.BRIGHT_GONE, self.BRIGHT_LEFT, *INVERSION_REGIMES.values()):
+            rates = propagator._rates(params)
+            if rates.split_squared > 0.0:
+                assert math.isfinite(0.5 * rates.split * rates.phase_limit)
+                assert math.isinf(0.5 * rates.split * math.nextafter(rates.phase_limit, math.inf))
+            else:
+                assert rates.phase_limit == math.inf
+
+    def test_dark_part_where_envelope_is_zero(self):
+        params, t = self.BRIGHT_GONE, 1e210
+        dark = np.outer(*(conditional_generator(params).dark_state,) * 2)
+        state = conditional_state(params, t)
+        assert state.tobytes() == dark[:, 1].tobytes()
+        dark_part = np.array([0.0, params.g_b**2, -params.g_a * params.g_b]) / params.coupling_squared
+        np.testing.assert_allclose(state, dark_part, rtol=1e-15)
+        assert np.array_equal(Propagator.from_parameters(params).matrix(t), dark)  # up to the sign of 0
+        triple = emission_probabilities(params, t)
+        assert (triple.p0, triple.p_cav, triple.p_spon) == pytest.approx((1e-200, 1.0, 0.0), rel=1e-15, abs=1e-300)
+        assert type(triple.p0) is float
+
+    def test_array_with_an_ordinary_time(self):
+        params = self.BRIGHT_GONE
+        times = np.array([1.0, 1e210, 5e209])
+        states = conditional_state(params, times)
+        triple = emission_probabilities(params, times)
+        for i, t in enumerate(times.tolist()):
+            assert states[i].tobytes() == conditional_state(params, t).tobytes()
+            scalar = emission_probabilities(params, t)
+            for field in ("p0", "p_cav", "p_spon"):
+                assert np.asarray(getattr(scalar, field)).tobytes() == getattr(triple, field)[i].tobytes()
+        assert np.isfinite(states).all()
+
+    def test_overflow_before_envelope_vanishes_names_the_time(self):
+        params = self.BRIGHT_LEFT
+        for call in (conditional_state, emission_probabilities, lambda p, t: Propagator.from_parameters(p).matrix(t)):
+            with pytest.raises(ValueError, match=r"t = 1e\+299 is out of the domain"):
+                call(params, 1e299)
+            with pytest.raises(ValueError, match=r"t = 1e\+299 is out of the domain"):
+                call(params, np.array([1.0, 2e299, 1e299]))
+        assert np.isfinite(conditional_state(params, [0.0, 1.0, 1e298])).all()
+
+
+class TestLindbladOracle:
+    """The budget and the atomic state against a 6-level master equation.
+
+    ``oracles.lindblad_budget`` builds its Liouvillian from the
+    Jaynes-Cummings coupling and the three jump operators, not from M.  Its
+    dense double-precision exponential loses the trace by up to 9.4e-11 at
+    kappa >= 1e4 and 1.0e-14 on the staircase, so those regimes use mpmath
+    at 30 digits.  Each bound is the largest absolute error measured on P0,
+    P_cav, P_spon and the atomic block over t in {0.1, 1, 7}, rounded up by
+    about a factor of two; the staircase's atomic block is off by 1.2e-14.
+    """
+
+    TOLERANCE = {
+        "paper": 5e-16,
+        "overdamped": 1e-15,
+        "critical": 1.5e-15,
+        "bad_cavity": 5e-16,
+        "kappa_1e6": 5e-16,
+        "gb_zero": 1e-15,
+        "gamma_zero": 5e-16,
+        "staircase": 2.5e-14,
+    }
+    PRECISE = ("bad_cavity", "kappa_1e6", "staircase")
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_budget_and_atomic_block(self, name):
+        params, tolerance = INVERSION_REGIMES[name], self.TOLERANCE[name]
+        digits = 30 if name in self.PRECISE else None
+        for t in (0.1, 1.0, 7.0):
+            oracle = lindblad_budget(params.g_a, params.g_b, params.kappa, params.gamma, t, digits)
+            # The oracle's own trace: off by up to 1.1e-15 (critical).
+            assert oracle.p0 + oracle.p_cav + oracle.p_a + oracle.p_b == pytest.approx(1.0, abs=2.5e-15)
+            assert oracle.imaginary <= 1e-16
+            triple = emission_probabilities(params, t)
+            assert abs(triple.p0 - oracle.p0) <= tolerance, t
+            assert abs(triple.p_cav - oracle.p_cav) <= tolerance, t
+            assert abs(triple.p_spon - (oracle.p_a + oracle.p_b)) <= tolerance, t
+            atoms = conditional_state(params, t)[1:]
+            assert np.max(np.abs(np.outer(atoms, atoms) - oracle.atoms)) <= tolerance, t
