@@ -90,21 +90,24 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
     eta = _resolve_eta(params, eta)
     saturation = cavity_emission_saturation(params)
     weight = params.g_b**2 / params.coupling_squared
-    times = _check_times(t)[0]
-    return _mixture(weight * _transcendental(np.exp, -2.0 * params.gamma * times), saturation, eta, times)
+    times, high = _check_times(t)
+    # From t = 1e307/gamma the weight is 0: capped there, an array product cannot overflow (a float one never warns).
+    capped = times if type(times) is float or not params.gamma * float(high) > 1e307 else np.minimum(times, 1e307 / params.gamma)
+    return _mixture(weight * _transcendental(np.exp, -2.0 * params.gamma * capped), saturation, eta, times)
 
 
 def relative_entropy_of_entanglement(mixture: ConditionedMixture):
     """E(lam) = (lam - 2) log2(1 - lam/2) + (1 - lam) log2(1 - lam), in bits.
 
-    With 0 log 0 = 0 the formula gives E(0) = 0 and E(1) = 1 exactly.
+    With 0 log 0 = 0 the formula gives E(0) = 0 and E(1) = 1 exactly; the
+    round-off of its two terms, which cancel at a small lam, is clipped to 0.
     """
     lam = _as_float(mixture.lam)
     first = (lam - 2.0) * _transcendental(np.log2, 1.0 - 0.5 * lam)
     if type(lam) is float:
-        return first + ((1.0 - lam) * _transcendental(np.log2, 1.0 - lam) if lam < 1.0 else 0.0)
+        return max(first + ((1.0 - lam) * _transcendental(np.log2, 1.0 - lam) if lam < 1.0 else 0.0), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return first + np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0)
+        return np.maximum(first + np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0), 0.0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -26,7 +26,8 @@ results' memory plus a chunk's.
 
 ``simulate_trajectories`` (one batch of trajectories) and ``run_ensemble``
 (the budget frequencies on a time grid) are the entry points; both start
-from |010>, and both reject a horizon or grid time that is not finite.
+from |010>, and both reject a horizon or grid time that is not finite, or
+one past the phase limit where e^{-a t/2} has not vanished (``_check_phase``).
 
 Randomness is counter-based: trajectory ``index`` under master ``seed``
 consumes exactly one Philox block, ``Generator(Philox(key=seed,
@@ -55,7 +56,7 @@ from .model import Parameters, _generator_matrix, _rate_key
 
 # ``conditional_state`` is no longer called here; the name stays importable
 # from this module because bench/tracing.py wraps montecarlo.conditional_state.
-from .propagator import _KERNEL_ROWS, _survival_kernel, conditional_state  # noqa: F401
+from .propagator import _KERNEL_ROWS, _check_phase, _rates, _survival_kernel, conditional_state  # noqa: F401
 
 # Start table of P0: t = 0 plus _TABLE_POINTS log-spaced times up to the
 # horizon, from _TABLE_START * horizon or, when that lies past the bright
@@ -128,15 +129,15 @@ def default_horizon(params: Parameters) -> float:
     A gamma so small that the closed form's exponents may overflow at
     15/gamma, with 15/gamma * (kappa + gamma + 2 Omega) not finite (gamma
     below about 3.2e-307 at g = kappa = 1, the subnormals included), gets
-    the gamma=0 horizon, cut to the largest double over kappa + gamma +
-    2 Omega where that is shorter (kappa below 7.9e-307 at g_a = g_b = 1).
+    the gamma=0 horizon, cut to the largest double over the larger of 1 and
+    kappa + gamma + 2 Omega where shorter (kappa below 7.9e-307 at g = 1).
     """
     rate = params.kappa + params.gamma + 2.0 * math.sqrt(params.coupling_squared)
     if params.gamma > 0.0:
         horizon = 15.0 / params.gamma
         if math.isfinite(horizon * rate):
             return horizon
-    return min(50.0 / params.kappa, sys.float_info.max / rate)
+    return min(50.0 / params.kappa, sys.float_info.max / max(rate, 1.0))
 
 
 def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -192,23 +193,23 @@ def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: flo
     t(s), s in [0, 1], that matches t, height * dt/dy and height^2 * d2t/dy2
     at both ends; they are not finite where those are not (w1 = 0 at t = 0
     when gamma = 0) or the height is 0 (a flat step of the envelope).  Raises
-    SimulationError where P0 or w1 is not finite.
+    SimulationError where P0 or w1 is not finite, a broken invariant.
     """
     # A horizon below about 5e-315 underflows the first time to 0, which geomspace rejects.
     first = max(min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma)), math.ulp(0.0))
-    times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
-    times[-1] = horizon
     params = Parameters(g_a, g_b, kappa, gamma)
-    buffer = np.empty((_KERNEL_ROWS, times.size))
-    with np.errstate(over="ignore", invalid="ignore"):
+    buffer = np.empty((_KERNEL_ROWS, _TABLE_POINTS + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # geomspace's last time at 1.8e308, w1' at gamma = 1e154
+        times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
+        times[-1] = horizon
         p0, w1, _, _ = _survival_kernel(params)(times, buffer)
+        products = np.matmul(-_generator_matrix(params), buffer[:3])
+        products *= buffer[:3]
+        w1_rate = np.add(products[1], products[2], out=products[1])
+        w1_rate *= 4.0 * gamma
+        w1_rate += 4.0 * kappa * products[0]
     if not (np.isfinite(p0).all() and np.isfinite(w1).all()):
-        raise SimulationError(f"survival law not finite on [0, {horizon!r}]: the horizon is too long")
-    products = np.matmul(-_generator_matrix(params), buffer[:3])
-    products *= buffer[:3]
-    w1_rate = np.add(products[1], products[2], out=products[1])
-    w1_rate *= 4.0 * gamma
-    w1_rate += 4.0 * kappa * products[0]
+        raise SimulationError(f"survival law not finite on [0, {horizon!r}]: a broken invariant of the closed form")
     envelope = np.minimum.accumulate(p0)
     intervals = np.empty((_TABLE_POINTS, 8))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -434,6 +435,8 @@ def simulate_trajectories(params: Parameters, seed: int, start: int, count: int,
         raise ValueError(f"horizon must be finite, got {horizon!r}")
     if horizon <= 0.0:
         raise NegativeTimeError("horizon must be positive")
+    if horizon > (record := _rates(params)).phase_limit:  # the inversion may evaluate any t up to it
+        _check_phase(record, math.nextafter(record.phase_limit, math.inf), horizon)
 
     if count > _CHUNK:
         parts = [simulate_trajectories(params, seed, *span, horizon) for span in _chunks(start, count)]
@@ -458,7 +461,8 @@ def simulate_trajectories(params: Parameters, seed: int, start: int, count: int,
     first = int(np.searchsorted(sorted_u, table.p0_end, side="right"))
     jumping = order[first:]
 
-    t_jump, *rates = _invert_survival(_survival_kernel(params), table, sorted_u[first:], work)
+    with np.errstate(over="ignore"):  # an exponent's product past the largest double: -inf, whose exp is 0
+        t_jump, *rates = _invert_survival(_survival_kernel(params), table, sorted_u[first:], work)
     jumps = jumping.size
     v, detect_draw, *thresholds = _rows(work.scratch, _SCRATCH_ROWS, jumps)[:4]
     np.take(draws[:, 1], jumping, out=v, mode="clip")

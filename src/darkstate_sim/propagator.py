@@ -25,9 +25,9 @@ probability is a closed form in the same three factors, which
 ``emission_probabilities``, the one entry point for the budget, shares.
 
 All time-dependent quantities accept scalar or array times; a negative or
-NaN time raises NegativeTimeError, and an infinite one, or one where the
-phase S t/2 overflows before the envelope vanishes (``_checked_factors``),
-ValueError.  Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0
+NaN time raises NegativeTimeError, and an infinite one, or one past the
+phase limit where e^{-a t/2} has not vanished (``_check_phase``), ValueError.
+Probabilities are clipped to [0, 1].  ``emission_probabilities`` clips P0
 and P_cav, forms P_spon = 1 - P0 - P_cav from the clipped values, and then
 checks all three unclipped quantities in one pass: the largest excess
 outside [0, 1] is computed once, and past round-off (or on NaN)
@@ -83,20 +83,6 @@ def _check_times(t):
     return times, high
 
 
-def _check_range(raw: np.ndarray, clipped: np.ndarray, names) -> None:
-    """Checks the excess |raw - clipped| outside [0, 1] over ``raw``, whose rows are ``names``.
-
-    Raises ProbabilityRangeError, naming the first row at fault, when the
-    largest excess is not below _PROB_TOL (NaN included).
-    """
-    excess = np.abs(raw - clipped)
-    if not float(excess.max(initial=0.0)) < _PROB_TOL:
-        for name, row in zip(names, excess.reshape(len(names), -1)):
-            row_worst = float(row.max(initial=0.0))
-            if not row_worst < _PROB_TOL:
-                raise ProbabilityRangeError(f"{name} out of range by {row_worst}")
-
-
 class _Rates(NamedTuple):
     """What the closed forms read from the four rates, built once per rate set."""
 
@@ -108,6 +94,7 @@ class _Rates(NamedTuple):
     split: float  # S, or sigma = sqrt(-S^2) when overdamped
     slow: float  # the overdamped slow rate lambda_- = (kappa gamma + Omega^2) / lambda_+
     phase_limit: float  # the largest t with a finite phase (S/2) t; inf unless oscillatory
+    time_limit: float  # up to it no exponent's product overflows and the phase is finite
 
 
 def _rates(params: Parameters) -> _Rates:
@@ -132,7 +119,8 @@ def _rate_projectors(g_a: float, g_b: float, kappa: float, gamma: float) -> _Rat
     while split_sq > 0.0 and math.isinf(0.5 * split * phase_limit):  # one step down at most
         phase_limit = math.nextafter(phase_limit, 0.0)
     column = tuple(map(tuple, basis[:, :, 1].T.tolist()))
-    return _Rates(basis, column, gamma, mean_decay, split_sq, split, slow, phase_limit)
+    time_limit = min(phase_limit, 0.5 * sys.float_info.max / mean_decay)  # every exponent's rate is at most a
+    return _Rates(basis, column, gamma, mean_decay, split_sq, split, slow, phase_limit, time_limit)
 
 
 def _clip(value: float) -> float:
@@ -157,19 +145,22 @@ def _transcendental(ufunc, x, into: dict = _NO_OUT[0]):
     return float(ufunc(x)) if type(x) is float else ufunc(x, **into)
 
 
-def _split_factors(rates: _Rates, times, out=None):
+def _split_factors(rates: _Rates, times, out=None, clamp=True):
     """The real factors (e0, c, s) of U(t) = e0 D + c P + s Q (module docstring).
 
     Python floats at a float t.  ``out``, when given, is an array of shape
     (3,) + t.shape that receives them, row by row, with no array allocated;
     otherwise they are new arrays.  Each factor starts as a ufunc result and
     is finished in place, so every path does the same operations in the same
-    order.
+    order.  The phase S t/2 is taken at min(t, ``rates.phase_limit``), past
+    which c and s are 0 (``_check_phase``); ``clamp=False`` skips that pass.
     """
     into_e0, into_cos, into_sin = _NO_OUT if out is None else ({"out": row} for row in out)
     if rates.split_squared > 0.0:
         envelope = _transcendental(np.exp, _scaled(-0.5 * rates.mean_decay, times, into_cos), into_cos)
-        phase = _scaled(0.5 * rates.split, times, into_sin)
+        phase_time = times if not clamp else (
+            min(times, rates.phase_limit) if type(times) is float else np.minimum(times, rates.phase_limit, **into_sin))
+        phase = _scaled(0.5 * rates.split, phase_time, into_sin)
         cosine = _transcendental(np.cos, phase, into_e0)
         sin_factor = _transcendental(np.sin, phase, into_sin)
         sin_factor *= envelope
@@ -195,26 +186,24 @@ def _split_factors(rates: _Rates, times, out=None):
     return e0, cos_factor, sin_factor
 
 
-def _checked_factors(rates: _Rates, t):
-    """The checked times t and the factors (e0, c, s) there, for one comparison below the phase limit.
+def _check_phase(rates: _Rates, first: float, time=None) -> None:
+    """Raises ValueError naming ``time`` (or ``first``) unless e^{-a t/2} is 0 at ``first``, past the phase limit."""
+    if np.exp(-0.5 * rates.mean_decay * first) > 0.0:
+        raise ValueError(f"t = {time or first!r} is out of the domain: the phase S t/2 overflows before e^(-a t/2) vanishes")
 
-    Past ``rates.phase_limit`` the phase S t/2 overflows.  Where e^{-a t/2}
-    is 0 there, so are c and s (U(t) = e0 D); elsewhere the time is out of
-    the domain and raises ValueError.
+
+def _checked_factors(rates: _Rates, t):
+    """The checked times t (``_check_times``), them capped where e^{-a t} is 0, and their factors (e0, c, s).
+
+    One comparison up to ``rates.time_limit``; past it ``_check_phase``, and products may be -inf (exp: 0), unwarned.
     """
     times, high = _check_times(t)
-    if not high > rates.phase_limit:
-        return times, _split_factors(rates, times)
-    beyond = np.greater(times, rates.phase_limit)
-    first = float(np.min(times, where=beyond, initial=math.inf))
-    if np.exp(-0.5 * rates.mean_decay * first) > 0.0:
-        raise ValueError(f"t = {first!r} is out of the domain: the phase S t/2 overflows before e^(-a t/2) vanishes")
-    e0 = _transcendental(np.exp, -rates.gamma * times)
-    if type(times) is float:
-        return times, (e0, 0.0, 0.0)
-    _, cos_factor, sin_factor = _split_factors(rates, np.minimum(times, rates.phase_limit))
-    cos_factor[beyond] = sin_factor[beyond] = 0.0
-    return times, (e0, cos_factor, sin_factor)
+    if not high > rates.time_limit:
+        return times, times, _split_factors(rates, times, clamp=False)
+    _check_phase(rates, float(np.min(times, where=np.greater(times, rates.phase_limit), initial=math.inf)))
+    with np.errstate(over="ignore"):
+        factors = _split_factors(rates, times)
+    return times, times if type(times) is float else np.minimum(times, 0.5 * sys.float_info.max / rates.mean_decay), factors
 
 
 def _propagate(factors, basis: np.ndarray, out=None) -> np.ndarray:
@@ -311,7 +300,7 @@ class Propagator:
 
     def matrix(self, t) -> np.ndarray:
         """U(t) as a real array of shape t.shape + (3, 3)."""
-        entries = _propagate(_checked_factors(self._rates, t)[1], self._rates.basis)
+        entries = _propagate(_checked_factors(self._rates, t)[2], self._rates.basis)
         return np.ascontiguousarray(entries.transpose(*range(2, entries.ndim), 0, 1))
 
 
@@ -324,7 +313,7 @@ def conditional_state(params: Parameters, t) -> np.ndarray:
     Returns real amplitudes of shape t.shape + (3,).
     """
     rates = _rates(params)
-    amps = np.asarray(_amplitudes(rates, _checked_factors(rates, t)[1]))
+    amps = np.asarray(_amplitudes(rates, _checked_factors(rates, t)[2]))
     return np.ascontiguousarray(amps.transpose(*range(1, amps.ndim), 0))
 
 
@@ -370,11 +359,11 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     of times.
     """
     rates = _rates(params)
-    times, factors = _checked_factors(rates, t)
+    times, capped, factors = _checked_factors(rates, t)
     _, cos_factor, sin_factor = factors
     mean_decay = rates.mean_decay
     cavity, atom_a, atom_b = (amplitude * amplitude for amplitude in _amplitudes(rates, factors))
-    decay = _transcendental(np.exp, -mean_decay * times)
+    decay = _transcendental(np.exp, -mean_decay * capped)
     bracket = 1.0 - decay - 2.0 * mean_decay * sin_factor * (mean_decay * sin_factor + cos_factor)
     p0 = cavity + atom_a + atom_b
     p_cav = cavity_emission_saturation(params) * bracket + 0.0  # -0.0 (at g_a = 0) to 0.0
@@ -390,5 +379,9 @@ def emission_probabilities(params: Parameters, t) -> ProbabilityTriple:
     p0, p_cav = raw[:2].clip(0.0, 1.0)
     raw[2] = 1.0 - p0 - p_cav
     clipped = raw.clip(0.0, 1.0)  # rows 0 and 1 as above
-    _check_range(raw, clipped, _BUDGET_NAMES)
+    excess = np.abs(raw - clipped)
+    if not float(excess.max(initial=0.0)) < _PROB_TOL:  # then the first row at fault, NaN included
+        for name, row in zip(_BUDGET_NAMES, excess.reshape(3, -1)):
+            if not (row_worst := float(row.max(initial=0.0))) < _PROB_TOL:
+                raise ProbabilityRangeError(f"{name} out of range by {row_worst}")
     return ProbabilityTriple(times, *clipped)

@@ -185,11 +185,42 @@ class TestWaitingTime:
         for hat, ref in [(est.p0_hat, exact.p0), (est.p_cav_hat, exact.p_cav)]:
             assert np.all(np.abs(hat - ref) <= 3.0 * np.sqrt(ref * (1.0 - ref) / n))
 
-    def test_non_finite_table_raises(self, fig_params):
-        # A horizon past which the closed form's exponents overflow: the
-        # table is not finite, and no trajectory may be tallied from it.
-        with pytest.raises(SimulationError, match="not finite"):
-            simulate_trajectories(fig_params, 3, 0, 16, horizon=1.5e308)
+    def test_non_finite_table_raises(self, fig_params, monkeypatch):
+        # A survival law that is not finite is a broken invariant of the
+        # closed form: no trajectory may be tallied from its table.
+        factory = montecarlo._survival_kernel
+
+        def nan_factory(params):
+            kernel = factory(params)
+
+            def nan_kernel(times, out=None):
+                p0, *rates = kernel(times, out)
+                p0[-1] = np.nan
+                return (p0, *rates)
+
+            return nan_kernel
+
+        monkeypatch.setattr(montecarlo, "_survival_kernel", nan_factory)
+        montecarlo._rate_table.cache_clear()
+        try:
+            with pytest.raises(SimulationError, match="not finite"):
+                simulate_trajectories(fig_params, 3, 0, 16)
+        finally:
+            montecarlo._rate_table.cache_clear()
+
+    def test_horizon_past_phase_limit_matches_budget(self, fig_params):
+        # The phase S t/2 overflows from t of about 1.36e308, where e^{-a t/2}
+        # is long 0: the table is finite and exact, every trajectory jumps
+        # (u >= 2^-53 is reached by t of about 18 000), and the channel split
+        # is the budget's.  (It once raised "survival law not finite".)
+        horizon, n = 1.5e308, CHUNK
+        assert propagator._rates(fig_params).phase_limit < horizon
+        times, codes, _ = simulate_trajectories(fig_params, 3, 0, n, horizon=horizon)
+        assert np.isfinite(times).all() and (times <= 20_000.0).all()
+        exact = emission_probabilities(fig_params, horizon)
+        assert exact.p0 == 0.0
+        for hat, ref in [(np.mean(codes == 0), exact.p_cav), (np.mean(codes > 0), exact.p_spon)]:
+            assert abs(hat - ref) <= 3.0 * math.sqrt(ref * (1.0 - ref) / n)
 
 
 class TestClassifyJump:

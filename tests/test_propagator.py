@@ -28,6 +28,7 @@ from darkstate_sim import (
     mixture_at,
     ProbabilityRangeError,
     run_ensemble,
+    simulate_trajectories,
 )
 
 # Frozen reference values for the working point g_a = g_b = kappa = 1,
@@ -735,6 +736,51 @@ class TestPhaseOverflow:
             with pytest.raises(ValueError, match=r"t = 1e\+299 is out of the domain"):
                 call(params, np.array([1.0, 2e299, 1e299]))
         assert np.isfinite(conditional_state(params, [0.0, 1.0, 1e298])).all()
+
+    def test_ensemble_past_the_limit_matches_budget(self):
+        # The start table's kernel takes the phase at the limit, as the closed
+        # forms do; it once raised "survival law not finite".
+        params, n, grid = self.BRIGHT_GONE, 4000, [0.0, 1.0, 1e210]
+        est = run_ensemble(params, n, grid, 3)
+        exact = emission_probabilities(params, grid)
+        for hat, ref in [(est.p0_hat, exact.p0), (est.p_cav_hat, exact.p_cav), (est.p_spon_hat, exact.p_spon)]:
+            assert np.all(np.abs(hat - ref) <= 3.0 * np.sqrt(ref * (1.0 - ref) / n) + 1e-12)
+        assert est.counts[0, -1] == 0 and est.counts[2].sum() == 0
+
+    def test_horizon_before_envelope_vanishes_is_out_of_the_domain(self):
+        # The inversion may evaluate any time up to its horizon; past the
+        # phase limit, with e^{-a t/2} of about 1 there, the roots would be
+        # wrong.  It once raised SimulationError from the table instead.
+        with pytest.raises(ValueError, match=r"t = 1e\+299 is out of the domain"):
+            simulate_trajectories(self.BRIGHT_LEFT, 3, 0, 16, horizon=1e299)
+        with pytest.raises(ValueError, match=r"t = 1e\+299 is out of the domain"):
+            run_ensemble(self.BRIGHT_LEFT, 16, [1.0, 1e299], 3)
+        assert run_ensemble(self.BRIGHT_LEFT, 16, [1.0, 1e297], 3).counts.sum(axis=0).tolist() == [16, 16]
+
+
+class TestExponentOverflow:
+    """Times past which an exponent's product -rate t overflows to -inf.
+
+    Its exp is the exact 0, as in a scalar call; an array call once raised
+    numpy's "overflow encountered in multiply" (an error under pytest).
+    """
+
+    @pytest.mark.parametrize("params", [Parameters(1.0, 1.0, 1e150, 0.0), Parameters(1.0, 1.0, 1.0, 1e150)])
+    def test_arrays_match_scalars(self, params):
+        times = np.array([1.0, 1e200])
+        calls = {
+            "conditional_state": lambda t: [conditional_state(params, t)],
+            "emission_probabilities": lambda t: list(vars(emission_probabilities(params, t)).values())[1:],
+            "mixture_at": lambda t: [mixture_at(params, t).lam],
+            "mixture_asymptotic": lambda t: [mixture_asymptotic(params, t).lam],
+            "matrix": lambda t: [Propagator.from_parameters(params).matrix(t)],
+        }
+        for name, call in calls.items():
+            arrays = call(times)
+            for i, t in enumerate(times.tolist()):
+                for array, scalar in zip(arrays, call(t)):
+                    assert np.isfinite(array).all(), name
+                    assert array[i].tobytes() == np.asarray(scalar).tobytes(), (name, t)
 
 
 class TestLindbladOracle:
