@@ -10,9 +10,10 @@ the conditioning.  The relative entropy of entanglement of that mixture is
 
 increasing from E(0) = 0 to E(1) = 1.  The mixture and E accept a scalar or
 an array of times (or weights): scalars give floats, arrays give arrays of
-the same shape, element for element equal to the scalar calls.  A
-repump-and-wait cycle removes the ground-state admixture: each no-click round
-maps lam to lam / (lam + (1 - lam)(1 - p)) at click probability (1 - lam) p.
+the same shape, element for element equal to the scalar calls; E and the
+repump round are one expression for both.  A repump-and-wait cycle removes
+the ground-state admixture: each no-click round maps lam to
+lam / (lam + (1 - lam)(1 - p)) at click probability (1 - lam) p.
 
 Where no click has probability zero (gamma = 0, g_b = 0, eta = 1), there is
 nothing to condition on, and the mixture raises ZeroProbabilityConditionError.
@@ -21,6 +22,7 @@ nothing to condition on, and the mixture raises ZeroProbabilityConditionError.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -45,7 +47,7 @@ class ConditionedMixture:
 
 
 def _probability(value, name: str) -> float:
-    value = float(value)
+    value = float(value) + 0.0  # -0.0 to 0.0, so that a click probability (1 - lam) p writes 0, not -0
     if not 0.0 <= value <= 1.0:  # also rejects NaN and infinities
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
@@ -99,15 +101,16 @@ def mixture_asymptotic(params: Parameters, t, eta: float | None = None) -> Condi
 def relative_entropy_of_entanglement(mixture: ConditionedMixture):
     """E(lam) = (lam - 2) log2(1 - lam/2) + (1 - lam) log2(1 - lam), in bits.
 
-    With 0 log 0 = 0 the formula gives E(0) = 0 and E(1) = 1 exactly; the
-    round-off of its two terms, which cancel at a small lam, is clipped to 0.
+    With x = lam / (2 - lam), 1 - lam = (1 - lam/2)^2 (1 - x^2), so E is
+    [(1 - lam) log1p(-x^2) - lam log1p(-lam/2)] / ln 2, whose terms cancel by
+    at most a factor of 2: within 6e-16 of mpmath for lam in [1e-150, 1].
+    The factor (lam < 1) gives 0 log 0 = 0 at lam = 1 with no branch, so
+    E(0) = 0 and E(1) = 1 exactly.
     """
     lam = _as_float(mixture.lam)
-    first = (lam - 2.0) * _transcendental(np.log2, 1.0 - 0.5 * lam)
-    if type(lam) is float:
-        return max(first + ((1.0 - lam) * _transcendental(np.log2, 1.0 - lam) if lam < 1.0 else 0.0), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.maximum(first + np.where(lam < 1.0, (1.0 - lam) * np.log2(1.0 - lam), 0.0), 0.0)
+    x = lam / (2.0 - lam)
+    ground = (1.0 - lam) * _transcendental(np.log1p, -x * x * (lam < 1.0))
+    return (ground - lam * _transcendental(np.log1p, -0.5 * lam)) / math.log(2.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,15 +128,12 @@ def repump_round(mixture: ConditionedMixture, p_detect: float) -> RepumpResult:
     ``p_detect``; observing no click updates the dark-pair weight to
     lam / (lam + (1 - lam)(1 - p_detect)).  Elementwise on an array-valued
     mixture.  The denominator rounds to at least lam, so the new weight lies
-    in [0, 1] with no clip; a zero denominator (lam = 0, p_detect = 1) gives 0.
+    in [0, 1] with no clip; it is 0 only at lam = 0, p_detect = 1, where
+    adding (denominator == 0) makes it 1 and the weight 0.
     """
     p_detect = _probability(p_detect, "repump detection probability")
     lam = _as_float(mixture.lam)
     click = (1.0 - lam) * p_detect
     denominator = lam + (1.0 - lam) * (1.0 - p_detect)
-    if type(lam) is float:
-        new_lam = lam / denominator if denominator > 0.0 else 0.0
-    else:
-        new_lam = np.divide(lam, denominator, out=np.zeros_like(lam), where=denominator > 0.0)
-    new_lam += 0.0  # maps a -0.0 weight to 0.0, so that the CSV writes 0, not -0
+    new_lam = lam / (denominator + (denominator == 0.0)) + 0.0  # + 0.0: a -0.0 weight writes 0, not -0
     return RepumpResult(ConditionedMixture(new_lam, mixture.t), click)

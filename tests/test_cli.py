@@ -410,6 +410,11 @@ class TestRepumpCommand:
         assert code == 0
         assert out.splitlines()[1:] == ["0,0,0,0", "1,0.9,0,0", "2,0.9,0,0"]
 
+    def test_negative_zero_detection_writes_zero(self, capsys):
+        code, out, _ = _run(capsys, ["repump", "--lambda0", "0.5", "--p-detect", "-0.0", "--rounds", "1"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0,0.5,0.122556248918", "1,0,0.5,0.122556248918"]
+
 
 class TestErrorHandling:
     @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -1,16 +1,21 @@
 """Every rate set ``Parameters`` accepts, at times up to 1e300: a value or a named error.
 
 Rates are drawn log-uniformly over the whole accepted range and times over
-[0, 1e300].  Every time-dependent closed form must return finite, in-range
-values, bit for bit those of its scalar calls, or raise one of the errors
-that name an input at fault: a time out of the domain (the bright phase
-S t/2 overflows before e^{-a t/2} vanishes), both couplings zero, or a
-no-click condition of probability zero.  A small ``run_ensemble`` must give
-counts that partition the ensemble and move monotonically, or raise the
-same out-of-domain error.  pytest turns every numpy RuntimeWarning into an
-error, so a product that overflows with a warning fails here.
+[0, 1e300].  Every time-dependent closed form, and the entropy and repump
+round of each mixture, must return finite, in-range values, bit for bit
+those of its scalar calls, or raise one of the errors that name an input at
+fault: a time out of the domain (the bright phase S t/2 overflows before
+e^{-a t/2} vanishes), both couplings zero, or a no-click condition of
+probability zero.  A small ``run_ensemble`` must give counts that partition
+the ensemble and move monotonically, or raise the same out-of-domain error.
+Every CLI subcommand, run in process on such rates, must write a CSV of
+finite values, none of them -0, or exit 2 with one error line.  pytest turns
+every numpy RuntimeWarning into an error, so a product that overflows with a
+warning fails here.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -18,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from darkstate_sim import propagator
+from darkstate_sim import cli, propagator
 from darkstate_sim import (
     DegenerateCouplingError,
     Parameters,
@@ -29,10 +34,12 @@ from darkstate_sim import (
     mixture_asymptotic,
     mixture_at,
     relative_entropy_of_entanglement,
+    repump_round,
     run_ensemble,
 )
 
 OUT_OF_DOMAIN = r"is out of the domain"
+PROBABILITIES = (0.0, 0.5, 1.0)  # the detector efficiencies and repump detections drawn
 
 
 def _log_uniform(low: float, high: float):
@@ -74,7 +81,10 @@ def _arrays(name, result):
     if name == "emission_probabilities":
         return [(np.asarray(field), 0.0, 1.0) for field in (result.p0, result.p_cav, result.p_spon)]
     if name in ("mixture_at", "mixture_asymptotic"):
-        return [(np.asarray(result.lam), 0.0, 1.0), (np.asarray(relative_entropy_of_entanglement(result)), 0.0, 1.0)]
+        repumped = [repump_round(result, p_detect) for p_detect in PROBABILITIES]
+        values = [result.lam, relative_entropy_of_entanglement(result)]
+        values += [field for r in repumped for field in (r.mixture.lam, r.click_probability)]
+        return [(np.asarray(value), 0.0, 1.0) for value in values]
     return [(np.asarray(result), -math.inf, math.inf)]
 
 
@@ -89,7 +99,7 @@ def _closed_forms(params):
 
 
 @SWEEP
-@given(g_a=COUPLING, g_b=COUPLING, kappa=KAPPA, gamma=GAMMA, eta=st.sampled_from([0.0, 0.5, 1.0]), times=TIMES)
+@given(g_a=COUPLING, g_b=COUPLING, kappa=KAPPA, gamma=GAMMA, eta=st.sampled_from(PROBABILITIES), times=TIMES)
 # The bright phase overflows where e^{-a t/2} is 0: the dark part.
 @example(g_a=1e100, g_b=1.0, kappa=1.0, gamma=0.0, eta=1.0, times=[0.0, 1.0, 1e209, 1e210])
 # e^{-a t/2}, e^{-a t} and e^{-sigma t} overflow their products in an array call.
@@ -147,3 +157,47 @@ def test_ensemble_partitions_or_names_the_horizon(g_a, g_b, kappa, gamma, times,
         return
     assert (counts >= 0).all() and (counts.sum(axis=0) == n).all()
     assert (np.diff(counts[0]) <= 0).all() and (np.diff(counts[1:], axis=1) >= 0).all()
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command line of any subcommand, with rates drawn as above and a log-uniform --tmax."""
+    command = draw(st.sampled_from([name for name, *_ in cli._COMMANDS]))
+    probability = st.sampled_from(PROBABILITIES + (-0.0,)).map(repr)
+    kappa = draw(KAPPA)
+    rates = {"--ga": draw(COUPLING), "--gb": draw(COUPLING), "--kappa": kappa, "--gamma": draw(GAMMA)}
+    argv = [command] + [text for flag, rate in rates.items() for text in (flag, repr(rate))]
+    if command == "repump":
+        argv += ["--eta", draw(probability), "--p-detect", draw(probability), "--rounds", "3"]
+        lambda0 = draw(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
+        return argv + ([] if lambda0 is None else ["--lambda0", repr(lambda0)])
+    # fidelity and entropy start their grid at the onset 5/kappa: draw --tmax above it.
+    onset = 5.0 / kappa if command in ("fidelity", "entropy") else 1e-300
+    low = math.log10(onset) if onset < 1e300 else 300.0
+    tmax = draw(st.floats(low, 300.0).map(lambda exponent: 10.0**exponent))
+    argv += ["--tmax", repr(tmax), "--steps", "3"]
+    if command == "fidelity":
+        return argv + ["--eta", *draw(st.lists(probability, min_size=1, max_size=2))]
+    if command == "entropy":
+        return argv + ["--eta", draw(probability)]
+    if command == "trajectories":
+        return argv + ["--trajectories", "64", "--eta", draw(probability), "--seed", str(draw(st.integers(0, 2**32)))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=_cli_argv())
+def test_cli_table_or_one_error_line(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        return
+    assert code == 0, (argv, code, err)
+    rows = out.splitlines()
+    assert len(rows) == (4 if argv[0] == "repump" else 3) + 1, (argv, out)
+    cells = np.array([[float(cell) for cell in row.split(",")] for row in rows[1:]])
+    assert np.isfinite(cells).all() and not np.signbit(cells[cells == 0.0]).any(), (argv, out)
+    assert err == "" or (argv[0] == "trajectories" and err.startswith("trajectories: ") and err.count("\n") == 1), err

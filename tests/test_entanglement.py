@@ -102,6 +102,26 @@ class TestEntropy:
             value = relative_entropy_of_entanglement(ConditionedMixture(float(lam), 0.0))
             assert 0.0 <= value <= 1.0
 
+    def test_relative_accuracy_against_mpmath(self):
+        # The defining formula at 340 digits, where its two terms cancel to lam^2 / (4 ln 2)
+        # at a small lam and (1 - lam) log2(1 - lam) is finite at lam = 1 - 1e-16.
+        mpmath = pytest.importorskip("mpmath")
+        lams = np.concatenate([np.geomspace(1e-150, 0.5, 200), 1.0 - np.geomspace(1e-16, 0.5, 40)])
+        values = relative_entropy_of_entanglement(ConditionedMixture(lams, 0.0))
+        with mpmath.workdps(340):
+            for lam, value in zip(lams, values):
+                w = mpmath.mpf(lam)
+                exact = ((w - 2) * mpmath.log(1 - w / 2) + (1 - w) * mpmath.log(1 - w)) / mpmath.log(2)
+                assert abs(float((mpmath.mpf(value) - exact) / exact)) <= 1e-15, (lam, value)
+
+    def test_small_weight_keeps_its_digits(self):
+        # lam = 4.04e-9: the two log2 terms gave 1.66e-16, their round-off, against 5.885e-18.
+        mixture = mixture_at(Parameters(10.0, 0.0, 1.0, 0.0, 0.5), 20.0)
+        assert mixture.lam == pytest.approx(4.039537504834149e-09, rel=1e-12, abs=0.0)
+        entropy = relative_entropy_of_entanglement(mixture)
+        assert entropy == pytest.approx(mixture.lam**2 / (4.0 * math.log(2.0)), rel=1e-8, abs=0.0)
+        assert entropy == pytest.approx(5.885425110125223e-18, rel=1e-15, abs=0.0)
+
 
 class TestArrayPaths:
     """Array calls equal the per-point scalar calls bit for bit."""
