@@ -29,6 +29,7 @@ import numpy as np
 
 from .entanglement import (
     ConditionedMixture,
+    _probability,
     mixture_asymptotic,
     relative_entropy_of_entanglement,
     repump_round,
@@ -91,8 +92,9 @@ def cmd_probabilities(args):
 def cmd_fidelity(args):
     params = _parameters(args)
     grid = _grid(args, params.kappa)
-    columns = [mixture_asymptotic(params, grid, eta=eta).lam for eta in args.eta]
-    return ["t"] + [f"F_eta{eta:g}" for eta in args.eta], [grid, *columns]
+    etas = [_probability(eta, "detector efficiency") for eta in args.eta]  # -0.0 to 0.0, so the header reads F_eta0
+    columns = [mixture_asymptotic(params, grid, eta=eta).lam for eta in etas]
+    return ["t"] + [f"F_eta{eta:g}" for eta in etas], [grid, *columns]
 
 
 def cmd_entropy(args):

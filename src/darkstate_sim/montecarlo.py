@@ -422,9 +422,9 @@ def simulate_trajectories(params: Parameters, seed: int, start: int, count: int,
 
     Returns (times, codes, detected): jump times (NaN when none), channel
     codes (0 cavity, 1 spontaneous from atom a, 2 from atom b, -1 none), and
-    the detector-thinning flags.  Identical results regardless of how the
-    index range is split into batches.  A batch wider than _CHUNK runs chunk
-    by chunk, in about the memory of its results plus one chunk.
+    the clicks (codes == 0) & (detection draw < eta).  Identical results for
+    any split of the index range into batches.  A batch wider than _CHUNK
+    runs chunk by chunk, in about the memory of its results plus one chunk.
     """
     seed = _check_seed(seed)
     start, count = operator.index(start), operator.index(count)
@@ -450,8 +450,6 @@ def simulate_trajectories(params: Parameters, seed: int, start: int, count: int,
 
     times = np.full(count, np.nan)
     codes = np.full(count, _CODE_NONE, dtype=np.int8)
-    detected = np.zeros(count, dtype=bool)
-
     table = _start_table(params, horizon)
     # The jumping trajectories, in increasing u: neighbours then take alike
     # paths through the inversion, and the table search walks in one
@@ -463,19 +461,11 @@ def simulate_trajectories(params: Parameters, seed: int, start: int, count: int,
 
     with np.errstate(over="ignore"):  # an exponent's product past the largest double: -inf, whose exp is 0
         t_jump, *rates = _invert_survival(_survival_kernel(params), table, sorted_u[first:], work)
-    jumps = jumping.size
-    v, detect_draw, *thresholds = _rows(work.scratch, _SCRATCH_ROWS, jumps)[:4]
+    v, *thresholds = _rows(work.scratch, _SCRATCH_ROWS, jumping.size)[:3]
     np.take(draws[:, 1], jumping, out=v, mode="clip")
-    code_j = _classify(v, *rates, out=thresholds)
-    np.take(draws[:, 2], jumping, out=detect_draw, mode="clip")
-    cavity_click, flag, _ = _rows(work.flags, 3, jumps)
-    np.equal(code_j, _CODE_CAVITY, out=cavity_click)
-    cavity_click &= np.less(detect_draw, params.eta, out=flag)
-
     times[jumping] = t_jump
-    codes[jumping] = code_j
-    detected[jumping] = cavity_click
-    return times, codes, detected
+    codes[jumping] = _classify(v, *rates, out=thresholds)
+    return times, codes, (codes == _CODE_CAVITY) & (draws[:, 2] < params.eta)
 
 
 def _usable_cpus() -> int:

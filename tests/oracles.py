@@ -3,10 +3,10 @@
 Everything here is implemented from scratch on top of numpy, deliberately
 avoiding the code paths under test: matrix exponentials via a separately
 written scaling-and-squaring Taylor sum (in floating point, and in 50-digit
-``decimal`` arithmetic) and via numpy's eigendecomposition, integrals via
-adaptive Simpson quadrature, derivatives via central differences, and the
-emission budget from a Lindblad master equation built from the Hamiltonian
-and the jump operators rather than from the no-click generator.
+``decimal`` arithmetic), integrals via adaptive Simpson quadrature,
+derivatives via central differences, and the emission budget from a Lindblad
+master equation built from the Hamiltonian and the jump operators rather
+than from the no-click generator.
 """
 
 from __future__ import annotations
@@ -81,16 +81,6 @@ def expm_decimal(matrix, digits: int = 50, time=1) -> list[list[decimal.Decimal]
         for _ in range(squarings):
             result = matmul(result, result)
         return [[+x for x in row] for row in result]
-
-
-def expm_eig(matrix: np.ndarray) -> np.ndarray:
-    """exp(matrix) through numpy's dense eigendecomposition.
-
-    Accurate only for well-conditioned eigenbases; use ``expm_taylor`` near
-    degeneracies.
-    """
-    values, vectors = np.linalg.eig(np.asarray(matrix, dtype=complex))
-    return vectors @ np.diag(np.exp(values)) @ np.linalg.inv(vectors)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:

@@ -42,6 +42,7 @@ PUBLIC_NAMES = {
 }
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_public_names():
@@ -51,6 +52,17 @@ def test_public_names():
     assert len(PUBLIC_NAMES) == 23
     for name in names:
         assert getattr(darkstate_sim, name) is not None, name
+
+
+def test_readme_python_api_example_runs():
+    # The code block under "## Python API" runs as written and gives the
+    # shapes its comments state.
+    section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert namespace["psi"].shape == (100, 3)
+    assert namespace["curve"].lam.shape == (500,)
 
 
 def test_bench_harness_runs_round_zero_traced(tmp_path, monkeypatch):

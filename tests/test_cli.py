@@ -235,6 +235,15 @@ class TestFidelityCommand:
         header, _ = _parse_csv(out)
         assert header == ["t", "F_eta0.5"]
 
+    def test_negative_zero_efficiency_heads_its_column_as_zero(self, capsys):
+        # Each --eta is mapped once, -0.0 to 0.0, and the header is written
+        # from the mapped values; an invalid one keeps its message.
+        code, out, _ = _run(capsys, ["fidelity", "--eta", "-0.0", "1", "--steps", "3"])
+        assert code == 0
+        assert out.splitlines()[0] == "t,F_eta0,F_eta1"
+        code, out, err = _run(capsys, ["fidelity", "--eta", "1", "1.5", "--steps", "3"])
+        assert (code, out, err) == (2, "", "error: detector efficiency must be in [0, 1], got 1.5\n")
+
     def test_table_matches_scalar_calls(self, capsys):
         etas = (1.0, 0.63, 0.2)
         code, out, _ = _run(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -394,15 +395,20 @@ class TestTrajectories:
         _, codes, detected = simulate_trajectories(fig_params, 5, 0, 2_000, horizon=50.0)
         assert np.array_equal(detected, codes == 0)
 
-    @pytest.mark.parametrize("eta", [1.0, 0.8, 0.3])
+    @pytest.mark.parametrize("eta", [1.0, 0.8, 0.3, 0.0])
     def test_detection_reads_the_third_draw(self, eta):
         # A cavity jump clicks when draw 2 of its trajectory's Philox block,
-        # not the spare draw 3, is below eta, in every chunk of a wide batch.
-        params = Parameters(g_a=1.0, g_b=1.0, kappa=1.0, gamma=1e-3, eta=eta)
-        seed, start, count = 23, 9, CHUNK + 3001
-        _, codes, detected = simulate_trajectories(params, seed, start, count)
-        draws = np.random.Generator(np.random.Philox(key=seed, counter=start)).random((count, 4))
-        assert np.array_equal(detected, (codes == 0) & (draws[:, 2] < eta))
+        # not the spare draw 3, is below eta, on every inversion regime, in
+        # every chunk of a wide batch and in a batch of one trajectory.
+        seed, start = 23, 9
+        for name, rates in INVERSION_REGIMES.items():
+            params = dataclasses.replace(rates, eta=eta)
+            for count in (CHUNK + 3001, 1):
+                _, codes, detected = simulate_trajectories(params, seed, start, count)
+                draws = np.random.Generator(np.random.Philox(key=seed, counter=start)).random((count, 4))
+                assert np.array_equal(detected, (codes == 0) & (draws[:, 2] < eta)), (name, count)
+        # The staircase set's one trajectory does not jump: a chunk with no jumper.
+        assert simulate_trajectories(INVERSION_REGIMES["staircase"], seed, start, 1)[1][0] == -1
 
     def test_argument_validation(self, fig_params):
         with pytest.raises(ValueError):
