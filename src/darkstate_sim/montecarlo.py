@@ -7,17 +7,17 @@ The waiting time is sampled by inverting the survival law P0(t) = u with a
 uniform u, and the channel is chosen from the instantaneous rates
 (2 kappa |c_100|^2 : 2 gamma |c_010|^2 : 2 gamma |c_001|^2) at the jump.
 ``_invert_survival`` takes the draws to their roots: a start from a table of
-P0 on log-spaced times up to the horizon, then safeguarded Newton on
+P0 on log-spaced times (``_rate_table``), then safeguarded Newton on
 log P0(t) - log u over the roots still active.  Each evaluation is one call
 of ``propagator._survival_kernel``: P0 (bit for bit the budget's), the total
 rate w1 = -dP0/dt, and the cavity and atom-a rates.  A root's last
 evaluation is at its accepted time, so the rates it leaves behind pick the
 channel.  On the paper's set a 16 384-trajectory chunk takes two steps over
-about 19 000 points in all.  The table depends only on the rates and the
-horizon, so ``_rate_table`` builds it once and shares it read-only with
-every batch and thread.  Every kappa > 0 gets a finite default horizon.  An
-ensemble tallies no jump after its last grid time, so it solves roots only
-up to that time, its horizon, and keys its start table on it.
+about 19 000 points in all.  The table runs up to the default horizon (finite
+for every kappa > 0) or a longer one asked for, so ``_rate_table`` builds it
+once per rate set and shares it read-only with every batch, thread and
+shorter horizon, which only cuts: u <= P0(horizon) does not jump.  An
+ensemble's horizon is its last grid time, past which it tallies no jump.
 
 A chunk of up to _CHUNK trajectories computes in buffers its thread allocates
 once (``_Workspace``), so a serial run neither grows nor trims the heap; a
@@ -34,8 +34,8 @@ consumes exactly one Philox block, ``Generator(Philox(key=seed,
 counter=index)).random(4)`` — (waiting, channel, detection, spare).  The
 outcome stream is therefore a pure function of (seed, index), independent of
 chunking and of the worker count used to evaluate it.  Ensemble counts
-depend on (seed, n, grid, rates) alone; a jump time depends on its horizon
-too, at the last-ulp level, through the start table.
+depend on (seed, n, grid, rates) alone, and a jump time on (seed, index,
+rates) alone at every horizon up to ``default_horizon``.
 """
 
 from __future__ import annotations
@@ -56,15 +56,16 @@ from .model import Parameters, _generator_matrix, _rate_key
 
 # ``conditional_state`` is no longer called here; the name stays importable
 # from this module because bench/tracing.py wraps montecarlo.conditional_state.
-from .propagator import _KERNEL_ROWS, _check_phase, _rates, _survival_kernel, conditional_state  # noqa: F401
+from .propagator import (  # noqa: F401
+    _KERNEL_ROWS, _check_phase, _rates, _survival_kernel, conditional_state, emission_probabilities)
 
-# Start table of P0: t = 0 plus _TABLE_POINTS log-spaced times up to the
-# horizon, from _TABLE_START * horizon or, when that lies past the bright
-# transient, from _TRANSIENT_START / (kappa + gamma).  With the horizon's
-# start, neighbouring times differ by 0.5 %, so the interpolated start lies
-# within a few Newton steps of the root; the transient's start keeps the
-# early roots of a tiny gamma (a horizon 15/gamma far beyond 1/kappa)
-# inside the table, at a coarser spacing (4 % at gamma = 1e-70).
+# Start table of P0: t = 0 plus _TABLE_POINTS log-spaced times up to its end
+# (the default horizon, or a later horizon), from _TABLE_START * end or, past
+# the bright transient, from _TRANSIENT_START / (kappa + gamma).  With the
+# end's start, neighbouring times differ by 0.5 %, so the interpolated start
+# lies within a few Newton steps of the root; the transient's start keeps the
+# early roots of a tiny gamma (an end 15/gamma far beyond 1/kappa) inside the
+# table, at a coarser spacing (4 % at gamma = 1e-70).
 _TABLE_POINTS = 4096
 _TABLE_START = 1e-9
 _TRANSIENT_START = 1e-3
@@ -124,20 +125,23 @@ class EnsembleEstimate:
 
 
 def default_horizon(params: Parameters) -> float:
-    """Sampling horizon: 15 spontaneous lifetimes, or 50/kappa when gamma=0.
+    """Sampling horizon 15/min(gamma, slow), or 25/slow at gamma = 0: P0 is then near its limit.
 
-    A gamma so small that the closed form's exponents may overflow at
-    15/gamma, with 15/gamma * (kappa + gamma + 2 Omega) not finite (gamma
-    below about 3.2e-307 at g = kappa = 1, the subnormals included), gets
-    the gamma=0 horizon, cut to the largest double over the larger of 1 and
-    kappa + gamma + 2 Omega where shorter (kappa below 7.9e-307 at g = 1).
+    slow, the bright amplitude's slowest decay, is (kappa gamma + Omega^2) /
+    lambda_+ when overdamped, else (kappa + gamma)/2: 15/gamma wherever
+    kappa >= gamma > 0 or g_a = g_b = 0, and 50/kappa at gamma = 0 unless
+    overdamped.  An overflowing horizon * (kappa + gamma + 2 Omega) (gamma
+    below about 3.2e-307 at g = kappa = 1) gets the gamma = 0 horizon, cut
+    to the largest double over max(1, kappa + gamma + 2 Omega).
     """
     rate = params.kappa + params.gamma + 2.0 * math.sqrt(params.coupling_squared)
+    overdamped = params.coupling_squared > 0.0 and (record := _rates(params)).split_squared < 0.0
+    slow = record.slow if overdamped else 0.5 * (params.kappa + params.gamma)
     if params.gamma > 0.0:
-        horizon = 15.0 / params.gamma
+        horizon = 15.0 / (min(params.gamma, slow) if params.coupling_squared > 0.0 else params.gamma)
         if math.isfinite(horizon * rate):
             return horizon
-    return min(50.0 / params.kappa, sys.float_info.max / max(rate, 1.0))
+    return min(25.0 / slow, sys.float_info.max / max(rate, 1.0))
 
 
 def _uniform_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
@@ -161,30 +165,29 @@ class _StartTable(NamedTuple):
     """The start table of ``simulate_trajectories``, shared read-only.
 
     ``times`` are the table times, ``descending`` is -E for the monotone
-    envelope E = minimum.accumulate(P0) (ascending, for searchsorted), and
-    ``p0_end`` is P0 at the horizon.  Row k of ``intervals`` belongs to
-    [times[k], times[k+1]]: log E[k], the inverse height 1/(log E[k+1] -
-    log E[k]), and the coefficients a_0 .. a_5 of the quintic t = sum a_j s^j
-    in s = (log u - log E[k]) * inverse height (see _rate_table).
+    envelope E = minimum.accumulate(P0) (ascending, for searchsorted).  Row
+    k of ``intervals`` belongs to [times[k], times[k+1]]: log E[k], the
+    inverse height 1/(log E[k+1] - log E[k]), and the coefficients a_0 ..
+    a_5 of the quintic t = sum a_j s^j in s = (log u - log E[k]) * inverse
+    height (see _rate_table).
     """
 
     times: np.ndarray
     descending: np.ndarray
     intervals: np.ndarray
-    p0_end: float
 
 
 def _start_table(params: Parameters, horizon: float) -> _StartTable:
-    """The start table for the four rates and ``horizon``, built once (see _rate_table)."""
-    return _rate_table(*_rate_key(params), horizon)
+    """The start table for the four rates up to the later of ``horizon`` and the default horizon (see _rate_table)."""
+    return _rate_table(*_rate_key(params), max(horizon, default_horizon(params)))
 
 
 # Sized by the traffic: a round of the mc_ensemble benchmark cycles 3 tables,
 # of cli_tables 2, a CLI process builds 1, and the closed forms none; 8
 # tables of 320 KiB hold them all, and a sweep over many rate sets 2.5 MiB.
 @functools.lru_cache(maxsize=8)
-def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: float) -> _StartTable:
-    """The start table for the four rates and ``horizon``, from one kernel evaluation.
+def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, end: float) -> _StartTable:
+    """The start table for the four rates on [0, ``end``], from one kernel evaluation.
 
     With y = log P0, y' = -w1/P0 and y'' = -w1'/P0 - y'^2, the inverse t(y)
     has dt/dy = -P0/w1 and d2t/dy2 = -y''/y'^3; w1' comes from the amplitudes
@@ -195,13 +198,12 @@ def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: flo
     when gamma = 0) or the height is 0 (a flat step of the envelope).  Raises
     SimulationError where P0 or w1 is not finite, a broken invariant.
     """
-    # A horizon below about 5e-315 underflows the first time to 0, which geomspace rejects.
-    first = max(min(_TABLE_START * horizon, _TRANSIENT_START / (kappa + gamma)), math.ulp(0.0))
+    first = min(_TABLE_START * end, _TRANSIENT_START / (kappa + gamma))
     params = Parameters(g_a, g_b, kappa, gamma)
     buffer = np.empty((_KERNEL_ROWS, _TABLE_POINTS + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # geomspace's last time at 1.8e308, w1' at gamma = 1e154
-        times = np.concatenate(([0.0], np.geomspace(first, horizon, _TABLE_POINTS)))
-        times[-1] = horizon
+        times = np.concatenate(([0.0], np.geomspace(first, end, _TABLE_POINTS)))
+        times[-1] = end
         p0, w1, _, _ = _survival_kernel(params)(times, buffer)
         products = np.matmul(-_generator_matrix(params), buffer[:3])
         products *= buffer[:3]
@@ -209,7 +211,7 @@ def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: flo
         w1_rate *= 4.0 * gamma
         w1_rate += 4.0 * kappa * products[0]
     if not (np.isfinite(p0).all() and np.isfinite(w1).all()):
-        raise SimulationError(f"survival law not finite on [0, {horizon!r}]: a broken invariant of the closed form")
+        raise SimulationError(f"survival law not finite on [0, {end!r}]: a broken invariant of the closed form")
     envelope = np.minimum.accumulate(p0)
     intervals = np.empty((_TABLE_POINTS, 8))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -232,7 +234,7 @@ def _rate_table(g_a: float, g_b: float, kappa: float, gamma: float, horizon: flo
     arrays = times, -envelope, intervals
     for array in arrays:
         array.setflags(write=False)
-    return _StartTable(*arrays, float(p0[-1]))
+    return _StartTable(*arrays)
 
 
 # Rows of a Newton state: log u, the bracket [lo, hi], t, the step and the one before.
@@ -456,7 +458,7 @@ def simulate_trajectories(params: Parameters, seed: int, start: int, count: int,
     # direction.
     order = np.argsort(u)
     np.take(u, order, out=sorted_u, mode="clip")
-    first = int(np.searchsorted(sorted_u, table.p0_end, side="right"))
+    first = int(np.searchsorted(sorted_u, emission_probabilities(params, horizon).p0, side="right"))
     jumping = order[first:]
 
     with np.errstate(over="ignore"):  # an exponent's product past the largest double: -inf, whose exp is 0

@@ -21,7 +21,7 @@ from darkstate_sim import (
     run_ensemble,
     simulate_trajectories,
 )
-from conftest import INVERSION_REGIMES
+from conftest import INVERSION_REGIMES, random_parameters
 from darkstate_sim import model, montecarlo, propagator
 from oracles import inverse_log_survival_derivatives
 
@@ -147,6 +147,36 @@ class TestWaitingTime:
         # 50/kappa overflows too: cut to the largest double over kappa + gamma + 2 Omega.
         rate = 1e-308 + 2.0 * math.sqrt(2.0)
         assert default_horizon(Parameters(1.0, 1.0, 1e-308)) == sys.float_info.max / rate
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            Parameters(1.0, 1.0, 100.0, 0.0),  # bad cavity at gamma = 0: once 0.5, where P0 was 0.990
+            Parameters(1.0, 1.0, 1e4, 0.0),  # once 0.005, where no trajectory jumped
+            Parameters(0.482, 0.0, 0.00895, 19.1),  # kappa < gamma, overdamped: P0 was 6.2e-4
+            Parameters(1.0, 1.0, 0.01, 1.0),  # kappa < gamma, oscillatory: P0 was 1.1e-7
+        ],
+    )
+    def test_default_horizon_covers_the_slowest_decay(self, params):
+        # P0 tends to the dark weight g_b^2/Omega^2 at gamma = 0 and to 0
+        # otherwise; the slowest bright decay may be far below kappa or gamma.
+        limit = 0.0 if params.gamma > 0.0 else params.g_b**2 / params.coupling_squared
+        assert abs(emission_probabilities(params, default_horizon(params)).p0 - limit) <= 1e-12
+
+    def test_default_horizon_is_the_lifetime_where_kappa_is_not_below_gamma(self, rng):
+        # Where kappa >= gamma > 0 the dark decay is the slowest, and at
+        # gamma = 0 without overdamping the bright one decays at kappa/2.
+        sets = list(INVERSION_REGIMES.values()) + [random_parameters(rng) for _ in range(200)]
+        checked = 0
+        for params in sets:
+            if params.gamma > 0.0 and params.kappa >= params.gamma:
+                assert default_horizon(params) == 15.0 / params.gamma
+            elif params.gamma == 0.0 and 4.0 * params.coupling_squared >= params.kappa**2:
+                assert default_horizon(params) == 50.0 / params.kappa
+            else:
+                continue
+            checked += 1
+        assert checked >= 100
 
     def test_unconverged_inversion_raises(self, fig_params, monkeypatch):
         # Roots still moving when the step budget runs out raise; unchecked,
@@ -456,7 +486,8 @@ class TestInversion:
         The chunk runs on a cold start-table cache, whose one table call is
         counted apart, and again on the warm cache, which must take the same
         steps and make no table call.  The channel pick evaluates nothing:
-        the amplitudes are formed only inside the kernel calls.
+        the amplitudes are formed only inside the kernel calls and once at
+        the horizon, for the budget's P0 that cuts the draws.
         """
         points, amplitude_points = [], []
         factory = montecarlo._survival_kernel
@@ -488,7 +519,7 @@ class TestInversion:
             simulate_trajectories(params, 42, 0, CHUNK)
         assert table == montecarlo._TABLE_POINTS + 1
         assert points == steps
-        assert amplitude_points == [table, *steps, *steps]
+        assert amplitude_points == [table, 1, *steps, 1, *steps]
         return steps, sum(steps) / int(np.sum(codes >= 0))
 
     def test_kernel_calls_per_chunk(self, monkeypatch):
@@ -532,6 +563,20 @@ class TestInversion:
         _, per_jump = self._kernel_points(INVERSION_REGIMES["staircase"], monkeypatch)
         assert per_jump <= 6.4
 
+    @pytest.mark.parametrize("name", sorted(INVERSION_REGIMES))
+    def test_jump_time_does_not_depend_on_the_horizon(self, name):
+        # Every horizon up to the default reads one start table, so a
+        # trajectory that jumps by a shorter horizon has the same time,
+        # channel and click at every longer one.
+        params = INVERSION_REGIMES[name]
+        horizons = [scale * default_horizon(params) for scale in (1e-4, 0.3, 1.0)]
+        runs = [simulate_trajectories(params, 9, 0, 20_000, horizon) for horizon in horizons]
+        for shorter, longer in zip(runs, runs[1:]):
+            jumped = shorter[1] >= 0
+            assert np.count_nonzero(jumped) <= np.count_nonzero(longer[1] >= 0)
+            for got, want in zip(longer, shorter):
+                assert np.array_equal(got[jumped], want[jumped])
+
     @pytest.mark.parametrize("name", ["paper", "gamma_zero"])
     def test_single_root_matches_batch(self, name):
         # A root inverted on its own is the root of the batch, bit for bit.
@@ -567,9 +612,10 @@ class TestStopRules:
     @pytest.mark.parametrize("name", ["paper", "staircase"])
     def test_roots_stop_on_bracket_or_unchanged_time(self, name):
         params = INVERSION_REGIMES[name]
-        kernel, table = _table(params, default_horizon(params))
+        horizon = default_horizon(params)
+        kernel, table = _table(params, horizon)
         u = _waiting_draws(6, 3000)
-        u = u[u > table.p0_end]
+        u = u[u > emission_probabilities(params, horizon).p0]
         roots = _inversion(params, u, self._quantized)
         times = roots[0]
         assert np.all((times >= 0.0) & (times <= table.times[-1]))
@@ -583,7 +629,7 @@ class TestStopRules:
 
 
 class TestStartTableCache:
-    """``_start_table`` builds each (rates, horizon) table once and shares it."""
+    """``_start_table`` builds each rate set's table once and shares it with every horizon up to the default."""
 
     @staticmethod
     def _outputs(params, seed=42):
@@ -694,8 +740,20 @@ class TestStartTableCache:
         maxsize = montecarlo._rate_table.cache_info().maxsize
         assert maxsize == 8
         for k in range(maxsize + 5):
-            montecarlo._start_table(fig_params, 50.0 + k)
+            params = dataclasses.replace(fig_params, g_b=1.0 + 0.01 * k)
+            montecarlo._start_table(params, default_horizon(params))
         assert montecarlo._rate_table.cache_info().currsize == maxsize
+
+    def test_horizons_up_to_the_default_share_one_table(self, fig_params):
+        # A shorter horizon reads the default horizon's table; a longer one
+        # builds its own, which ends at that horizon.
+        montecarlo._rate_table.cache_clear()
+        horizon = default_horizon(fig_params)
+        table = montecarlo._start_table(fig_params, horizon)
+        for shorter in (1e-300, 1.0, 50.0, horizon):
+            assert montecarlo._start_table(fig_params, shorter) is table
+        assert montecarlo._start_table(fig_params, 2.0 * horizon).times[-1] == 2.0 * horizon
+        assert montecarlo._rate_table.cache_info().misses == 2
 
 
 class TestWorkspace:
